@@ -1,7 +1,8 @@
-"""Pure-Python kernels for reduced-form censuses.
+"""Pure-Python reduced-form census: the one loop that lists the reduced
+forms, and the ``form_census`` count derived from it.
 
-Mirrors the compiled extension in ``_fastcore.pyx``; selected at import
-time by ``_kernel`` when the extension is unavailable.
+``form_census`` mirrors the compiled extension in ``_fastcore.pyx``;
+``_kernel`` selects it at import time when the extension is unavailable.
 """
 
 from math import gcd, isqrt
@@ -9,35 +10,35 @@ from math import gcd, isqrt
 BACKEND = "pure"
 
 
+def reduced_forms(delta: int) -> list[tuple[int, int, int]]:
+    """All reduced primitive forms (a, b, c) of discriminant ``delta``, sorted.
+
+    Conventions: -a < b <= a <= c, b >= 0 when a == c, gcd(a, b, c) = 1.
+    The loop is b-major: a reduced form has 0 <= |b| <= a <= sqrt(|delta|/3),
+    and for each b >= 0 its a are the divisors of (b^2 - delta)/4 in
+    [max(b, 1), sqrt((b^2 - delta)/4)], which puts a <= c.
+    """
+    if delta >= 0 or delta % 4 not in (0, 1):
+        raise ValueError(f"not an imaginary quadratic discriminant: {delta}")
+    n = -delta
+    out = []
+    for b in range(delta % 2, isqrt(n // 3) + 1, 2):
+        m = (b * b + n) // 4
+        for a in [a for a in range(max(b, 1), isqrt(m) + 1) if m % a == 0]:
+            c = m // a
+            if gcd(a, b, c) == 1:
+                out.append((a, b, c))
+                if 0 < b < a < c:
+                    out.append((a, -b, c))
+    out.sort()
+    return out
+
+
 def form_census(delta: int) -> tuple[int, int]:
     """Count reduced primitive forms of discriminant ``delta``.
 
     Returns ``(h, ambiguous)`` where ``h`` is the class number and
     ``ambiguous`` counts the reduced forms with b = 0, a = b or a = c.
-    Conventions: -a < b <= a <= c, b >= 0 when a == c, gcd(a, b, c) = 1.
     """
-    if delta >= 0 or delta % 4 not in (0, 1):
-        raise ValueError(f"not an imaginary quadratic discriminant: {delta}")
-    h = 0
-    ambiguous = 0
-    n = -delta
-    amax = isqrt(n // 3)
-    for a in range(1, amax + 1):
-        four_a = 4 * a
-        # b runs over -a < b <= a with b^2 = delta (mod 4a), i.e. b = delta (mod 2)
-        b = -a + 1
-        if (b - delta) % 2 != 0:
-            b += 1
-        while b <= a:
-            num = b * b + n
-            if num % four_a == 0:
-                c = num // four_a
-                if c >= a and gcd(gcd(a, abs(b)), c) == 1:
-                    if a == c and b < 0:
-                        pass  # excluded boundary representative
-                    else:
-                        h += 1
-                        if b == 0 or a == b or a == c:
-                            ambiguous += 1
-            b += 2
-    return h, ambiguous
+    forms = reduced_forms(delta)
+    return len(forms), sum(1 for a, b, c in forms if b == 0 or a == b or a == c)

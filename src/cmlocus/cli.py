@@ -11,7 +11,7 @@ from collections import Counter
 
 from .arith import OrderDisc, ValidationError, psi, split_discriminant
 from .fields import FieldSymbol, compose_rcf, field_degree, tensor_rcf
-from .forms import class_number, reduced_forms, two_torsion_count
+from .forms import reduced_forms, two_torsion_count
 from .graph import build_graph, double_cover, to_dot
 from .locus import fiber_X0MN, primitive_X0MN, x1_fiber
 from .pathstats import orbit_counts, type_counts
@@ -133,9 +133,9 @@ def _cmd_x1(args) -> int:
 
 
 def _cmd_classgroup(args) -> int:
-    h = class_number(args.disc)
-    r2 = two_torsion_count(args.disc)
     forms = reduced_forms(args.disc)
+    h = len(forms)
+    r2 = two_torsion_count(args.disc)
     payload = {
         "disc": args.disc,
         "classNumber": h,
@@ -161,6 +161,8 @@ def _parse_symbol(text: str, dk: int) -> FieldSymbol:
 
 def _cmd_rcf(args) -> int:
     if args.op == "compose":
+        if args.conductors is None:
+            raise _UsageError("rcf compose needs --conductors")
         factors = [
             FieldSymbol("K", int(m), args.dk)
             for m in args.conductors.split(",")
@@ -172,6 +174,8 @@ def _cmd_rcf(args) -> int:
             "degree": res.degree(),
         }
     else:
+        if args.left is None or args.right is None:
+            raise _UsageError("rcf tensor needs --left and --right")
         left = _parse_symbol(args.left, args.dk)
         right = _parse_symbol(args.right, args.dk)
         from math import gcd
@@ -331,12 +335,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    try:
-        return args.func(args)
     except ValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 2

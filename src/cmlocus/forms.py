@@ -1,16 +1,18 @@
-"""Binary quadratic forms: reduction, censuses, Gaussian composition.
+"""Binary quadratic forms: reduction, censuses, genus theory, Gaussian
+composition.
 
-The class-number oracle counts reduced primitive forms directly (kernel
-backed); the ambiguous-form count gives the 2-torsion order of the form
-class group, which is also the per-level count of conjugation-fixed
-vertices in the isogeny graph.
+The O(|delta|) reduced-form census backs only ``class_number`` (kernel
+backed) and ``reduced_forms``.  The 2-torsion order of the form class
+group, which is also the per-level count of conjugation-fixed vertices in
+the isogeny graph, comes from genus theory and needs only a factorization
+of delta.
 """
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
-from . import _kernel
-from .arith import ValidationError, divisors_from_factorization, factorize
+from . import _kernel, _purecore
+from .arith import ValidationError, factorize
 
 DISC_CAP = 10**7  # census guard; O(|delta|) enumeration beyond this is refused
 
@@ -25,21 +27,7 @@ def reduced_forms(delta: int) -> list[tuple[int, int, int]]:
     _check_disc(delta)
     if -delta > DISC_CAP:
         raise ValidationError(f"|delta| exceeds census cap {DISC_CAP}")
-    out = []
-    n = -delta
-    for a in range(1, isqrt(n // 3) + 1):
-        four_a = 4 * a
-        b = -a + 1
-        if (b - delta) % 2 != 0:
-            b += 1
-        while b <= a:
-            num = b * b + n
-            if num % four_a == 0:
-                c = num // four_a
-                if c >= a and gcd(gcd(a, abs(b)), c) == 1 and not (a == c and b < 0):
-                    out.append((a, b, c))
-            b += 2
-    return out
+    return _purecore.reduced_forms(delta)
 
 
 @lru_cache(maxsize=None)
@@ -53,44 +41,19 @@ def class_number(delta: int) -> int:
 
 @lru_cache(maxsize=None)
 def two_torsion_count(delta: int) -> int:
-    """Order of Pic(O(delta))[2] = number of ambiguous reduced forms."""
+    """Order of Pic(O(delta))[2] by genus theory: 2^(mu - 1), where mu is
+    the number of assigned characters of delta (Cox, *Primes of the Form
+    x^2 + ny^2*, Prop. 3.11 and Thm. 3.15).  It equals the number of
+    ambiguous reduced forms, but needs only a factorization of delta."""
     _check_disc(delta)
-    if -delta <= DISC_CAP:
-        return _kernel.form_census(delta)[1]
-    return _two_torsion_large(delta)
-
-
-def _two_torsion_large(delta: int) -> int:
-    # Ambiguous reduced forms found through the divisors of delta, so this
-    # only needs a factorization, not an O(|delta|) sweep.
-    n = -delta
-    fac = factorize(n)
-    count = 0
+    mu = sum(1 for p in factorize(-delta) if p != 2)
     if delta % 4 == 0:
-        m = n // 4
-        for a in divisors_from_factorization(factorize(m)):
-            c = m // a
-            if a > c:
-                break
-            if gcd(a, c) == 1:
-                count += 1
-    for a in divisors_from_factorization(fac):  # forms (a, a, c)
-        if 3 * a * a > n:
-            break
-        if (a * a + n) % (4 * a) == 0:
-            c = (a * a + n) // (4 * a)
-            if c >= a and gcd(a, c) == 1:
-                count += 1
-    for d1 in divisors_from_factorization(fac):  # forms (a, b, a), 0 < b < a
-        d2 = n // d1
-        if d1 >= d2:
-            break
-        if (d1 + d2) % 4 == 0 and (d2 - d1) % 2 == 0:
-            a = (d1 + d2) // 4
-            b = (d2 - d1) // 2
-            if 0 < b < a and gcd(a, b) == 1:
-                count += 1
-    return count
+        n = -delta // 4
+        if n % 8 == 0:
+            mu += 2
+        elif n % 4 != 3:  # n = 1, 2 (mod 4) or n = 4 (mod 8)
+            mu += 1
+    return 2 ** (mu - 1)
 
 
 def reduce_form(form: tuple[int, int, int]) -> tuple[int, int, int]:

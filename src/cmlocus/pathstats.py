@@ -8,8 +8,6 @@ Serves as the brute-force oracle against the normative tables on parameter
 ranges where an explicit graph would not fit in memory.
 """
 
-from functools import lru_cache
-
 from .arith import ValidationError, kronecker
 from .fields import unit_count
 from .forms import two_torsion_count
@@ -29,7 +27,6 @@ class _Tower:
         self.chi = kronecker(delta_K, ell)
         self.w2 = unit_count(delta_K) // 2
 
-    @lru_cache(maxsize=None)
     def rtor(self, m: int) -> int:
         return two_torsion_count(self.ell ** (2 * m) * self.f0**2 * self.delta_K)
 

@@ -14,7 +14,7 @@ grouping into closed points.
 
 from dataclasses import dataclass
 
-from .arith import OrderDisc, ValidationError, kronecker, psi
+from .arith import OrderDisc, ValidationError, _is_probable_prime, kronecker, psi
 from .fields import FieldSymbol, K, Q, field_degree, rcf_rel_degree
 
 
@@ -40,23 +40,12 @@ class PathClass:
         return self.bhd[0] == 0 and self.bhd[1] == 0
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 def path_classes(order: OrderDisc, ell: int, a: int) -> list[PathClass]:
     """All closed point classes of X0(ell^a) -> X(1) over the CM point of
     ``order``, for delta_K in {-3, -4}."""
     if order.delta_K not in (-3, -4):
         raise ValidationError("tables cover delta_K in {-3, -4} only")
-    if not _is_prime(ell):
+    if not _is_probable_prime(ell):
         raise ValidationError(f"{ell} is not prime")
     if a < 1:
         raise ValidationError("a must be >= 1")

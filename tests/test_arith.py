@@ -48,6 +48,8 @@ def test_factorize():
     big = 10**12 + 39  # prime beyond the trial-division wheel
     assert factorize(big) == {big: 1}
     assert factorize(big * 7) == {7: 1, big: 1}
+    # strong pseudoprime to the prime bases 2..37 (psi_12, Sorenson-Webster)
+    assert factorize(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
     with pytest.raises(ValidationError):
         factorize(0)
     with pytest.raises(ValidationError):

@@ -66,6 +66,39 @@ def test_classgroup_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["classNumber"] == 4 and payload["twoTorsion"] == 4
+    code, out, _ = run(capsys, "classgroup", "--disc", "-56", "--format", "json")
+    assert code == 0
+    assert out == CLASSGROUP_56
+
+
+CLASSGROUP_56 = """{
+  "disc": -56,
+  "classNumber": 4,
+  "twoTorsion": 2,
+  "forms": [
+    [
+      1,
+      0,
+      14
+    ],
+    [
+      2,
+      0,
+      7
+    ],
+    [
+      3,
+      -2,
+      5
+    ],
+    [
+      3,
+      2,
+      5
+    ]
+  ]
+}
+"""
 
 
 def test_rcf_cli(capsys):
@@ -81,6 +114,11 @@ def test_rcf_cli(capsys):
     payload = json.loads(out)
     assert len(payload["factors"]) == 2
     assert all(f["closure"]["m"] == 30 for f in payload["factors"])
+    code, _, err = run(capsys, "rcf", "compose", "--dk", "-3")
+    assert code == 1 and "usage" in err
+    for side in (("--left", "K:6"), ("--right", "K:10")):
+        code, _, err = run(capsys, "rcf", "tensor", "--dk", "-3", *side)
+        assert code == 1 and "usage" in err
 
 
 def test_graph_cli_and_dot(capsys):
@@ -110,3 +148,14 @@ def test_exit_codes(capsys):
         capsys, "fiber", "--disc", "-16", "--dk", "-4", "--N", "2"
     )
     assert code == 2  # both discriminant specifications given
+
+
+def test_fiber_at_large_prime_level(capsys):
+    code, out, _ = run(
+        capsys, "fiber", "--dk", "-4", "--N", "100000000000000000039",
+        "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["psiCheck"] is True
+    assert payload["checkTotal"] == 100000000000000000040

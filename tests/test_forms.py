@@ -1,4 +1,7 @@
+from math import gcd, isqrt
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmlocus import _purecore
 from cmlocus.arith import ValidationError
@@ -14,7 +17,6 @@ from cmlocus.forms import (
     reduce_form,
     reduced_forms,
     two_torsion_count,
-    _two_torsion_large,
 )
 
 
@@ -34,6 +36,9 @@ def test_two_torsion_examples():
     assert two_torsion_count(-4) == 1
     assert two_torsion_count(-100) == 2
     assert two_torsion_count(-243) == 1
+    # 399165290221 * 798330580441 is a strong pseudoprime to the prime
+    # bases 2..37 (psi_12); with the factor 3, mu = 3
+    assert two_torsion_count(-3 * 318665857834031151167461) == 4
 
 
 def test_two_torsion_divides_and_squares_trivial():
@@ -49,10 +54,36 @@ def test_two_torsion_divides_and_squares_trivial():
                 assert compose(f, f, delta) == one
 
 
-def test_two_torsion_large_matches_census():
-    for delta in range(-4, -3000, -1):
+def test_two_torsion_genus_theory_matches_census():
+    for delta in range(-3, -20000, -1):
         if delta % 4 in (0, 1):
-            assert _two_torsion_large(delta) == two_torsion_count(delta)
+            assert two_torsion_count(delta) == _purecore.form_census(delta)[1], delta
+
+
+@settings(deadline=None)
+@given(st.integers(3, 10**6).filter(lambda n: n % 4 in (0, 3)))
+def test_two_torsion_divides_class_number_and_counts_ambiguous_forms(n):
+    r2 = two_torsion_count(-n)
+    assert class_number(-n) % r2 == 0
+    assert r2 == _purecore.form_census(-n)[1]
+
+
+def _a_major_reduced_forms(delta):
+    # reference census: a outer, every b in (-a, a] inner
+    out = []
+    for a in range(1, isqrt(-delta // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b * b - delta) % (4 * a) == 0:
+                c = (b * b - delta) // (4 * a)
+                if c >= a and gcd(a, b, c) == 1 and not (a == c and b < 0):
+                    out.append((a, b, c))
+    return out
+
+
+def test_reduced_forms_match_a_major_census():
+    deltas = [d for d in range(-3, -5000, -1) if d % 4 in (0, 1)]
+    for delta in deltas + [-404100, -404103]:
+        assert reduced_forms(delta) == _a_major_reduced_forms(delta), delta
 
 
 def test_pure_and_fast_kernels_agree():
