@@ -19,7 +19,6 @@ from .graph import (
     IsogenyGraph,
     build_graph,
     conjugation_graph,
-    conjugation_mark,
     double_cover,
     enumerate_paths,
     geometric_points,

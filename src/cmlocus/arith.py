@@ -149,6 +149,15 @@ def psi(n: int) -> int:
     return result
 
 
+def valuation(n: int, ell: int) -> int:
+    """ord_ell(n) for n >= 1."""
+    v = 0
+    while n % ell == 0:
+        v += 1
+        n //= ell
+    return v
+
+
 def _squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
@@ -189,17 +198,7 @@ class OrderDisc:
 
     def ell_valuation(self, ell: int) -> int:
         """ord_ell of the conductor."""
-        v, f = 0, self.f
-        while f % ell == 0:
-            v += 1
-            f //= ell
-        return v
-
-    def prime_to_ell_conductor(self, ell: int) -> int:
-        f = self.f
-        while f % ell == 0:
-            f //= ell
-        return f
+        return valuation(self.f, ell)
 
 
 def split_discriminant(delta: int) -> OrderDisc:

@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from math import gcd
 
 from .arith import OrderDisc, ValidationError, psi, split_discriminant
 from .fields import FieldSymbol, compose_rcf, field_degree, tensor_rcf
@@ -178,8 +179,6 @@ def _cmd_rcf(args) -> int:
             raise _UsageError("rcf tensor needs --left and --right")
         left = _parse_symbol(args.left, args.dk)
         right = _parse_symbol(args.right, args.dk)
-        from math import gcd
-
         parts = tensor_rcf(left, right, gcd(left.m, right.m))
         payload = {
             "factors": [
@@ -191,10 +190,7 @@ def _cmd_rcf(args) -> int:
                 for p in parts
             ]
         }
-    if args.format == "json":
-        print(_dumps(payload))
-    else:
-        print(_dumps(payload))
+    print(_dumps(payload))  # JSON for either --format
     return 0
 
 

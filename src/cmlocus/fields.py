@@ -1,5 +1,6 @@
 """Symbolic algebra of ring class fields K(m) and rational ring class
-fields Q(m) attached to a fixed fundamental discriminant.
+fields Q(m) over the imaginary quadratic field of fundamental discriminant
+delta_K in {-3, -4}, i.e. Q(sqrt(-3)) or Q(i).
 
 Fields are labels, never embedded objects.  Degrees come from the relative
 class number formula; the reduced-forms census in ``forms`` is kept as an
@@ -10,8 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import ValidationError, factorize, is_fundamental, kronecker
-from .forms import class_number
+from .arith import ValidationError, factorize, kronecker
 
 RATIONAL = "Q"
 RING_CLASS = "K"
@@ -20,19 +20,22 @@ RING_CLASS = "K"
 D_SET = (-3, -4, -12, -16, -27)
 
 
+def check_delta_K(delta_K: int) -> None:
+    """The one domain guard: everything built on the casework for the two
+    class-number-one fields with extra units needs delta_K in {-3, -4}."""
+    if delta_K not in (-3, -4):
+        raise ValidationError(f"delta_K must be -3 or -4, got {delta_K}")
+
+
 def unit_count(delta_K: int) -> int:
     """w_K = #Z_K^x."""
-    if delta_K == -3:
-        return 6
-    if delta_K == -4:
-        return 4
-    return 2
+    check_delta_K(delta_K)
+    return 6 if delta_K == -3 else 4
 
 
 def in_S(f: int, delta_K: int) -> bool:
     """True iff f^2 * delta_K lies in the class-number-one set D."""
-    if delta_K not in (-3, -4):
-        raise ValidationError("S is defined relative to delta_K in {-3, -4}")
+    check_delta_K(delta_K)
     return f * f * delta_K in D_SET
 
 
@@ -41,8 +44,7 @@ def rcf_rel_degree(delta_K: int, f: int) -> int:
     """d(f) = [K(f):K(1)] via the conductor formula."""
     if f <= 0:
         raise ValidationError(f"conductor must be positive, got {f}")
-    if not is_fundamental(delta_K):
-        raise ValidationError(f"{delta_K} is not fundamental")
+    check_delta_K(delta_K)
     if f == 1:
         return 1
     num = 2 * f
@@ -75,7 +77,7 @@ def canonical_conductor(delta_K: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class FieldSymbol:
-    """Q(m) or K(m) relative to a fixed fundamental discriminant."""
+    """Q(m) or K(m) over the field of discriminant delta_K in {-3, -4}."""
 
     base: str  # RATIONAL or RING_CLASS
     m: int
@@ -86,8 +88,7 @@ class FieldSymbol:
             raise ValidationError(f"bad base {self.base!r}")
         if self.m <= 0:
             raise ValidationError(f"conductor must be positive, got {self.m}")
-        if not is_fundamental(self.delta_K):
-            raise ValidationError(f"{self.delta_K} is not fundamental")
+        check_delta_K(self.delta_K)
 
     @property
     def contains_K(self) -> bool:
@@ -113,16 +114,10 @@ def K(m: int, delta_K: int) -> FieldSymbol:
 
 
 def field_degree(sym: FieldSymbol) -> int:
-    """Absolute degree over Q: h(m^2 delta_K), doubled for K(m)."""
-    h = rcf_rel_degree(sym.delta_K, sym.m) * _h_fundamental(sym.delta_K)
+    """Absolute degree over Q: h(m^2 delta_K) = [K(m):K(1)] since h(delta_K)
+    = 1, doubled for K(m)."""
+    h = rcf_rel_degree(sym.delta_K, sym.m)
     return 2 * h if sym.contains_K else h
-
-
-@lru_cache(maxsize=None)
-def _h_fundamental(delta_K: int) -> int:
-    if delta_K in (-3, -4):
-        return 1
-    return class_number(delta_K)
 
 
 def is_isomorphic(a: FieldSymbol, b: FieldSymbol) -> bool:
@@ -223,22 +218,16 @@ def tensor_rcf(f1: FieldSymbol, f2: FieldSymbol, base_m: int) -> list[Compositum
     delta_K = f1.delta_K
     if base_m != gcd(f1.m, f2.m):
         raise ValidationError("base conductor must be gcd of the factor conductors")
-    w2 = unit_count(delta_K) // 2
     big = lcm(f1.m, f2.m)
     s = int(f1.contains_K) + int(f2.contains_K)
-    if in_S(f1.m, delta_K) or in_S(f2.m, delta_K):
-        keep, absorbed = (f1, f2) if in_S(f2.m, delta_K) else (f2, f1)
-        if in_S(f1.m, delta_K) and in_S(f2.m, delta_K):
-            keep = f2
-        base = RING_CLASS if s >= 1 else RATIONAL
-        factor = CompositumResult(FieldSymbol(base, keep.m, delta_K), 1)
-        copies = 2 if s == 2 else 1
-        return [factor] * copies
-    if base_m > 1:
-        base = RING_CLASS if s >= 1 else RATIONAL
-        factor = CompositumResult(FieldSymbol(base, big, delta_K), 1)
-        return [factor] * (2 if s == 2 else 1)
-    # pairwise coprime conductors outside S: proper compositum factors
     base = RING_CLASS if s >= 1 else RATIONAL
-    factor = CompositumResult(FieldSymbol(base, big, delta_K), w2)
-    return [factor] * (2 ** max(s - 1, 0))
+    copies = 2 if s == 2 else 1
+    if in_S(f1.m, delta_K) or in_S(f2.m, delta_K):
+        # a factor in S is absorbed; the other one survives
+        keep = f2 if in_S(f1.m, delta_K) else f1
+        return [CompositumResult(FieldSymbol(base, keep.m, delta_K), 1)] * copies
+    if base_m > 1:
+        return [CompositumResult(FieldSymbol(base, big, delta_K), 1)] * copies
+    # pairwise coprime conductors outside S: proper compositum factors
+    w2 = unit_count(delta_K) // 2
+    return [CompositumResult(FieldSymbol(base, big, delta_K), w2)] * copies

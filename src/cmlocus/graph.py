@@ -14,10 +14,9 @@ non-materializing counter lives in ``pathstats``.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import ValidationError, kronecker
-from .fields import rcf_rel_degree, unit_count
+from .arith import ValidationError, _is_probable_prime, kronecker
+from .fields import check_delta_K, rcf_rel_degree, unit_count
 from .forms import (
-    class_number,
     compose,
     inverse_form,
     is_ambiguous,
@@ -125,23 +124,19 @@ class IsogenyGraph:
         return self.ell ** (2 * level) * self.f0 * self.f0 * self.delta_K
 
 
-def _level_count(delta_K, ell, f0, m):
-    return rcf_rel_degree(delta_K, ell**m * f0) * (
-        1 if delta_K in (-3, -4) else class_number(delta_K)
-    )
-
-
 @lru_cache(maxsize=None)
 def build_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
     """Build the truncated graph down to ``depth`` levels below the surface."""
-    if delta_K not in (-3, -4):
-        raise ValidationError("graphs are built for delta_K in {-3, -4}")
+    check_delta_K(delta_K)
+    if not _is_probable_prime(ell):
+        raise ValidationError(f"{ell} is not prime")
     if f0 % ell == 0:
         raise ValidationError("f0 must be coprime to ell")
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     g = IsogenyGraph(delta_K, ell, f0, depth)
-    g.level_counts = [_level_count(delta_K, ell, f0, m) for m in range(depth + 1)]
+    # level m holds the h(ell^(2m) f0^2 delta_K) = [K(ell^m f0):K(1)] classes
+    g.level_counts = [rcf_rel_degree(delta_K, ell**m * f0) for m in range(depth + 1)]
 
     if f0 == 1:
         _build_surface_max_order(g)
@@ -409,12 +404,6 @@ def _mark_edge_conjugation(g: IsogenyGraph):
                         if x.kind == "horiz" and x.parallel == 1 - e.parallel
                     )
                     g.conj_e[e.eid] = target.eid
-
-
-def conjugation_mark(graph: IsogenyGraph) -> IsogenyGraph:
-    """The involution is filled in at build time; kept as the public
-    hook (idempotent)."""
-    return graph
 
 
 @lru_cache(maxsize=None)

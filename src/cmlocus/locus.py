@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
-from .arith import OrderDisc, ValidationError, euler_phi, factorize, kronecker, psi
+from .arith import (
+    OrderDisc,
+    ValidationError,
+    euler_phi,
+    factorize,
+    kronecker,
+    psi,
+    valuation,
+)
 from .fields import (
     FieldSymbol,
     K,
@@ -107,17 +115,9 @@ def _datum(order: OrderDisc, ell: int, a_prime: int, a: int, cls: PathClass) -> 
         contains_K=cls.field.contains_K,
         split_surface_edge=split and cls.horizontal > 0 and cls.field.contains_K,
         purely_descending=cls.purely_descending,
-        conductor_exp=_ell_val(cls.field.m, ell) - _ell_val(order.f, ell),
+        conductor_exp=valuation(cls.field.m, ell) - order.ell_valuation(ell),
         horizontal=cls.horizontal,
     )
-
-
-def _ell_val(n: int, ell: int) -> int:
-    v = 0
-    while n % ell == 0:
-        v += 1
-        n //= ell
-    return v
 
 
 def x_nn_residue(order: OrderDisc, N: int) -> FieldSymbol:
@@ -153,7 +153,7 @@ def lift_residue_prime_power(
         m = lcm(2 * f, downstairs_field.m)
         if (
             a >= 2
-            and dK % 8 == 4
+            and dK == -4
             and order.ell_valuation(2) == 0
             and datum.horizontal > 0
         ):
@@ -248,9 +248,16 @@ def count_fiber_X0MN(order: OrderDisc, M: int, N: int, data) -> int:
     """Number of points of X0(M,N) above a combination of downstairs
     classes (all sharing one residue field)."""
     _check_divides(M, N)
+    return _combination(order, M, N, data)[2]
+
+
+def _combination(order: OrderDisc, M: int, N: int, data):
+    """(residue field, ramification index e, point count) of X0(M,N) above
+    one combination of downstairs classes, in one pass."""
     s = sum(1 for d in data if d.contains_K)
     field_up = residue_X0MN(order, M, N, data)
-    field_down = residue_X0MN(order, 1, N, data)
+    # over X0(N) itself the field and e are those of the downstairs points
+    field_down = field_up if M == 1 else residue_X0MN(order, 1, N, data)
     if order.f == 1:
         w2 = unit_count(order.delta_K) // 2
         e_down = 1 if all(d.descents == 0 for d in data) else w2
@@ -261,7 +268,7 @@ def count_fiber_X0MN(order: OrderDisc, M: int, N: int, data) -> int:
     den = e_up * field_degree(field_up)
     if num % den != 0:
         raise ValidationError("non-integral point count: inconsistent data")
-    return num // den
+    return field_up, e_up, num // den
 
 
 def _check_divides(M, N):
@@ -278,25 +285,21 @@ def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
     fac = factorize(N)
     primes = sorted(fac)
     per_prime = [path_classes(order, ell, fac[ell]) for ell in primes]
+    a_primes = [valuation(M, ell) for ell in primes]
+    base_degree = rcf_rel_degree(order.delta_K, order.f)
     merged: dict = {}
     single = len(primes) == 1
     for combo in product(*per_prime):
         mult = 1
         data = []
-        for ell, cls in zip(primes, combo):
+        for ell, a_prime, cls in zip(primes, a_primes, combo):
             mult *= cls.count
-            data.append(_datum(order, ell, _ell_val(M, ell), fac[ell], cls))
-        field = residue_X0MN(order, M, N, data)
-        count = count_fiber_X0MN(order, M, N, data) * mult
-        d = field_degree(field) // rcf_rel_degree(order.delta_K, order.f)
-        if order.f == 1:
-            horizontal = all(x.descents == 0 for x in data)
-            e = 1 if (M == 1 and horizontal) else unit_count(order.delta_K) // 2
-        else:
-            e = 1
+            data.append(_datum(order, ell, a_prime, fac[ell], cls))
+        field, e, count = _combination(order, M, N, data)
+        d = field_degree(field) // base_degree
         tag = combo[0].bhd if single else None
         key = (field, d, e, tag)
-        merged[key] = merged.get(key, 0) + count
+        merged[key] = merged.get(key, 0) + count * mult
     classes = tuple(
         sorted(
             (ClosedPointClass(f, d, e, c, tag) for (f, d, e, tag), c in merged.items()),
@@ -342,12 +345,8 @@ def primitive_prime_power(order: OrderDisc, ell: int, a_prime: int, a: int):
         if chiK == -1:
             return [K(ell ** max(a_prime, a - 2 * L) * f, dK)]
         return [K(ell ** max(a_prime, a - 2 * L - 1) * f, dK)]
-    # ell^{a'} = 2
+    # ell^{a'} = 2; an odd delta = -3 f^2 has 2 inert in its order
     if delta % 2 != 0:
-        if a == 1:
-            return [K(2 * f, dK)]
-        if kronecker(delta, 2) == 1:
-            return [K(2 * f, dK)]
         return [K(2**a * f, dK)]
     return _primitive_two_even(order, a)
 
@@ -377,26 +376,16 @@ def _primitive_base(order: OrderDisc, ell: int, a: int):
         if a <= 2 * L + 1:
             return [Q(f, dK)]
         return [Q(ell ** (a - 2 * L - 1) * f, dK)]
-    # ell = 2, a >= 2, L >= 1
-    if chiK == 1:
-        if L == 1:
-            return [Q(2**a * f, dK), K(f, dK)]
-        if a <= 2 * L - 2:
-            return [Q(f, dK)]
-        return [Q(2 ** (a - 2 * L + 2) * f, dK), K(f, dK)]
+    # ell = 2, a >= 2, L >= 1; 2 is inert (delta_K = -3) or ramified (-4)
     if chiK == -1:
         if L == 1:
             return [Q(2**a * f, dK), K(2 ** (a - 2) * f, dK)]
         if a <= 2 * L - 2:
             return [Q(f, dK)]
         return [Q(2 ** (a - 2 * L + 2) * f, dK), K(2 ** max(a - 2 * L, 0) * f, dK)]
-    if _ord2(dK) == 2:
-        if a <= 2 * L:
-            return [Q(f, dK)]
-        return [Q(2 ** (a - 2 * L) * f, dK), K(2 ** (a - 2 * L - 1) * f, dK)]
-    if a <= 2 * L + 1:
+    if a <= 2 * L:
         return [Q(f, dK)]
-    return [Q(2 ** (a - 2 * L - 1) * f, dK)]
+    return [Q(2 ** (a - 2 * L) * f, dK), K(2 ** (a - 2 * L - 1) * f, dK)]
 
 
 def _primitive_two_even(order: OrderDisc, a: int):
@@ -405,18 +394,9 @@ def _primitive_two_even(order: OrderDisc, a: int):
     L = order.ell_valuation(2)
     if a == 1:
         return [Q(2 * f, dK)]
-    chiK = kronecker(dK, 2)
-    if L == 0:
-        if _ord2(dK) == 2:
-            return [Q(2**a * f, dK), K(2 ** (a - 1) * f, dK)]
-        return [Q(2 ** (a - 1) * f, dK)]
-    if chiK == 1:
-        if L == 1:
-            return [Q(2**a * f, dK), K(2 * f, dK)]
-        if a <= 2 * L - 1:
-            return [Q(2 * f, dK)]
-        return [Q(2 ** (a - 2 * L + 2) * f, dK), K(2 * f, dK)]
-    if chiK == -1:
+    if L == 0:  # an odd conductor: delta_K = -4
+        return [Q(2**a * f, dK), K(2 ** (a - 1) * f, dK)]
+    if dK == -3:
         if L == 1 and a == 2:
             return [Q(4 * f, dK), K(2 * f, dK)]
         if L == 1:
@@ -426,17 +406,9 @@ def _primitive_two_even(order: OrderDisc, a: int):
         if a == 2 * L:
             return [Q(4 * f, dK), K(2 * f, dK)]
         return [Q(2 ** (a - 2 * L + 2) * f, dK), K(2 ** (a - 2 * L) * f, dK)]
-    if _ord2(dK) == 2:
-        if a <= 2 * L + 1:
-            return [Q(2 * f, dK)]
-        return [Q(2 ** (a - 2 * L) * f, dK), K(2 ** (a - 2 * L - 1) * f, dK)]
     if a <= 2 * L + 1:
         return [Q(2 * f, dK)]
-    return [Q(2 ** (a - 2 * L - 1) * f, dK)]
-
-
-def _ord2(n: int) -> int:
-    return _ell_val(abs(n), 2)
+    return [Q(2 ** (a - 2 * L) * f, dK), K(2 ** (a - 2 * L - 1) * f, dK)]
 
 
 def _split_deep_level(order: OrderDisc, ell: int, a: int) -> bool:
@@ -462,7 +434,7 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
     fac = factorize(N)
     primes = sorted(fac)
     locals_ = [
-        primitive_prime_power(order, ell, _ell_val(M, ell), fac[ell]) for ell in primes
+        primitive_prime_power(order, ell, valuation(M, ell), fac[ell]) for ell in primes
     ]
     rational_branch = M == 1 or (M == 2 and order.delta % 2 == 0)
     if rational_branch:
@@ -472,8 +444,8 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
         for ell, fields in zip(primes, locals_):
             rational = [g for g in fields if not g.contains_K]
             others = [g for g in fields if g.contains_K]
-            b = _ell_val(rational[0].m, ell) - order.ell_valuation(ell)
-            c = _ell_val(others[0].m, ell) - order.ell_valuation(ell) if others else b
+            b = valuation(rational[0].m, ell) - order.ell_valuation(ell)
+            c = valuation(others[0].m, ell) - order.ell_valuation(ell) if others else b
             B *= ell**b
             C *= ell**c
             if others:
@@ -494,7 +466,7 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
     for ell, fields in zip(primes, locals_):
         others = [g for g in fields if g.contains_K]
         pick = others[0] if others else fields[0]
-        C *= ell ** (_ell_val(pick.m, ell) - order.ell_valuation(ell))
+        C *= ell ** (valuation(pick.m, ell) - order.ell_valuation(ell))
     kfield = K(C * f, dK)
     return ([kfield], [field_degree(kfield)])
 

@@ -8,8 +8,8 @@ Serves as the brute-force oracle against the normative tables on parameter
 ranges where an explicit graph would not fit in memory.
 """
 
-from .arith import ValidationError, kronecker
-from .fields import unit_count
+from .arith import ValidationError, _is_probable_prime, kronecker
+from .fields import check_delta_K, unit_count
 from .forms import two_torsion_count
 
 
@@ -17,8 +17,9 @@ class _Tower:
     """Real-structure bookkeeping for one (delta_K, ell, f0) tower."""
 
     def __init__(self, delta_K, ell, f0):
-        if delta_K not in (-3, -4):
-            raise ValidationError("towers are built for delta_K in {-3, -4}")
+        check_delta_K(delta_K)
+        if not _is_probable_prime(ell):
+            raise ValidationError(f"{ell} is not prime")
         if f0 % ell == 0:
             raise ValidationError("f0 must be coprime to ell")
         self.delta_K = delta_K

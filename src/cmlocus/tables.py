@@ -5,7 +5,8 @@ Every closed point class of the fiber is listed with its path shape
 (b, h, d) = (ascents, horizontal steps, descents), the number of classes of
 that exact shape and field, and the residue field.  Dispatch is on
 L = ord_l(conductor), the splitting symbol of the fundamental discriminant
-at l, and (for l = 2) the 2-adic shape of the fundamental discriminant.
+at l, and (for l = 2) whether 2 is inert (delta_K = -3) or ramified
+(delta_K = -4) in K; 2 never splits, since delta_K is not 1 mod 8.
 
 The isogeny-graph walker in ``pathstats`` rederives the path totals from
 graph structure; these tables stay the source of truth for the Galois
@@ -15,7 +16,7 @@ grouping into closed points.
 from dataclasses import dataclass
 
 from .arith import OrderDisc, ValidationError, _is_probable_prime, kronecker, psi
-from .fields import FieldSymbol, K, Q, field_degree, rcf_rel_degree
+from .fields import FieldSymbol, K, Q, check_delta_K, field_degree, rcf_rel_degree
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,7 @@ class PathClass:
 def path_classes(order: OrderDisc, ell: int, a: int) -> list[PathClass]:
     """All closed point classes of X0(ell^a) -> X(1) over the CM point of
     ``order``, for delta_K in {-3, -4}."""
-    if order.delta_K not in (-3, -4):
-        raise ValidationError("tables cover delta_K in {-3, -4} only")
+    check_delta_K(order.delta_K)
     if not _is_probable_prime(ell):
         raise ValidationError(f"{ell} is not prime")
     if a < 1:
@@ -113,8 +113,8 @@ def _ell2_classes(dK: int, f: int, L: int, a: int, sym: int) -> list[PathClass]:
         if count > 0:
             out.append(PathClass((b, h, d), field, count, tag))
 
-    if sym != 0:
-        # fundamental discriminant odd at 2
+    if sym == -1:
+        # delta_K = -3: 2 is inert
         if L >= 2 and a >= 2:
             add("V1", 1, 0, a - 1, Q(2 ** (a - 2) * f, dK), 1)
         if L >= a >= 3:
@@ -125,15 +125,11 @@ def _ell2_classes(dK: int, f: int, L: int, a: int, sym: int) -> list[PathClass]:
             add("V3", L - 1, 0, a - L + 1, K(m, dK), 2 ** (min(a - L + 1, L - 1) - 2) - 1)
         for b in range(2, min(L - 2, a - 2) + 1):
             add("V4", b, 0, a - b, K(2 ** max(a - 2 * b, 0) * f, dK), 2 ** (min(b, a - b) - 2))
-        if a > L >= 1 and sym == -1:
+        if a > L >= 1:
             add("VI", L, 0, a - L, K(2 ** max(a - 2 * L, 0) * f, dK), 2 ** (min(L, a - L) - 1))
-        if sym == 1 and L >= 1:
-            for h in range(1, a - L):
-                mh = 2 ** max(a - 2 * L - h, 0) * f
-                add("XI", L, h, a - L - h, K(mh, dK), 2 ** (min(L, a - L - h) - 1))
         return out
 
-    ord2 = 2 if dK % 8 == 4 else 3  # ord_2 of the even fundamental discriminant
+    # delta_K = -4: 2 is ramified
     if L >= 2 and a >= 2:
         add("V1", 1, 0, a - 1, Q(2 ** (a - 2) * f, dK), 1)
     if L >= a >= 3:
@@ -147,21 +143,14 @@ def _ell2_classes(dK: int, f: int, L: int, a: int, sym: int) -> list[PathClass]:
             add("VI2", L, 0, a - L, Q(f, dK), 1)
         else:  # a >= L+2 >= 4
             m = 2 ** max(a - 2 * L, 0) * f
-            if ord2 == 2:
-                add("VI3", L, 0, a - L, Q(m, dK), 2)
-                add("VI3", L, 0, a - L, K(m, dK), 2 ** (min(L, a - L) - 2) - 1)
-            else:
-                add("VI3", L, 0, a - L, K(m, dK), 2 ** (min(L, a - L) - 2))
+            add("VI3", L, 0, a - L, Q(m, dK), 2)
+            add("VI3", L, 0, a - L, K(m, dK), 2 ** (min(L, a - L) - 2) - 1)
     if a >= L + 1 >= 2:
         if a == L + 1:
             add("VIII1", L, 1, 0, Q(f, dK), 1)
         else:
             m = 2 ** max(a - 2 * L - 1, 0) * f
-            if ord2 == 2:
-                add("VIII2", L, 1, a - L - 1, K(m, dK), 2 ** (min(L, a - 1 - L) - 1))
-            else:
-                add("VIII2", L, 1, a - L - 1, Q(m, dK), 2)
-                add("VIII2", L, 1, a - L - 1, K(m, dK), 2 ** (min(L, a - 1 - L) - 1) - 1)
+            add("VIII2", L, 1, a - L - 1, K(m, dK), 2 ** (min(L, a - 1 - L) - 1))
     return out
 
 

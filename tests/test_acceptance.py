@@ -241,14 +241,13 @@ def test_criterion_10_primitive_degree_dichotomy():
                     ok = ok and c <= b and (2 * b) % c == 0
                     # two primitive degrees exactly when every two-field
                     # prime sits in the split, deep-level regime
-                    from cmlocus.arith import factorize, kronecker
-                    from cmlocus.locus import _ell_val
+                    from cmlocus.arith import factorize, kronecker, valuation
 
                     all_split_deep = True
                     any_two = False
                     for ell, a in factorize(N).items():
                         local = primitive_prime_power(
-                            order, ell, _ell_val(M, ell), a
+                            order, ell, valuation(M, ell), a
                         )
                         if len(local) == 2:
                             any_two = True

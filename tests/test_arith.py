@@ -106,4 +106,3 @@ def test_order_disc_accessors():
     od = OrderDisc.from_parts(-3, 12)
     assert od.ell_valuation(2) == 2
     assert od.ell_valuation(3) == 1
-    assert od.prime_to_ell_conductor(2) == 3

@@ -148,6 +148,10 @@ def test_exit_codes(capsys):
         capsys, "fiber", "--disc", "-16", "--dk", "-4", "--N", "2"
     )
     assert code == 2  # both discriminant specifications given
+    code, _, err = run(capsys, "graph", "--dk", "-4", "--l", "4")
+    assert code == 2 and "not prime" in err
+    code, _, err = run(capsys, "primitive", "--dk", "-7", "--N", "5")
+    assert code == 2 and "validation" in err
 
 
 def test_fiber_at_large_prime_level(capsys):

@@ -9,6 +9,7 @@ from cmlocus.fields import (
     K,
     Q,
     canonical_conductor,
+    check_delta_K,
     compose_rcf,
     embeds,
     field_degree,
@@ -156,3 +157,17 @@ def test_tensor_degree_sum():
 def test_tensor_base_must_be_gcd():
     with pytest.raises(ValidationError):
         tensor_rcf(Q(6, -3), Q(10, -3), 5)
+
+
+@pytest.mark.parametrize("dK", [-7, -8, -12, -16, 0, 1])
+def test_domain_guard(dK):
+    # one guard for every entry point built on the -3/-4 casework
+    for call in (
+        lambda: check_delta_K(dK),
+        lambda: unit_count(dK),
+        lambda: in_S(1, dK),
+        lambda: rcf_rel_degree(dK, 2),
+        lambda: FieldSymbol("Q", 1, dK),
+    ):
+        with pytest.raises(ValidationError):
+            call()

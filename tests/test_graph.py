@@ -214,6 +214,8 @@ def test_build_rejects_bad_parameters():
     with pytest.raises(ValidationError):
         build_graph(-7, 2, 1, 2)  # outside the two maximal orders
     with pytest.raises(ValidationError):
+        build_graph(-4, 4, 1, 2)  # composite ell
+    with pytest.raises(ValidationError):
         build_graph(-4, 2, 2, 2)  # f0 not coprime to ell
     with pytest.raises(ValidationError):
         build_graph(-4, 2, 1, 0)

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmlocus.arith import OrderDisc, ValidationError, psi
-from cmlocus.fields import K, Q, embeds, field_degree, is_isomorphic
+from cmlocus.fields import K, Q, embeds, field_degree, is_isomorphic, rcf_rel_degree
 from cmlocus.locus import (
     PrimeLocalDatum,
     count_fiber_X0MN,
@@ -177,3 +178,47 @@ def test_data_validation():
         residue_X0N(O4, [PrimeLocalDatum(5, 0, 1, 0, True, True, False)] * 2)
     with pytest.raises(ValidationError):
         fiber_X0MN(O4, 3, 4)
+
+
+def _prime_powers(n):
+    p = 2
+    while p * p <= n:
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        if a:
+            yield p, a
+        p += 1
+    if n > 1:
+        yield n, 1
+
+
+def _psi_phi(n):
+    psi_n = phi_n = 1
+    for p, a in _prime_powers(n):
+        psi_n *= p ** (a - 1) * (p + 1)
+        phi_n *= p ** (a - 1) * (p - 1)
+    return psi_n, phi_n
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((-3, -4)),
+    st.integers(1, 50),
+    st.integers(1, 5000),
+    st.integers(0, 10**6),
+)
+def test_psi_identity_property(dK, f, N, pick):
+    # sum e*d*count = psi(N) M phi(M) for random (dK, f, M | N), with
+    # d = [field : Q(J_delta)] from the class-number formula and e in {1, w_K/2}
+    divisors = [m for m in range(1, N + 1) if N % m == 0]
+    M = divisors[pick % len(divisors)]
+    report = fiber_X0MN(OrderDisc.from_parts(dK, f), M, N)
+    w_K = {-3: 6, -4: 4}[dK]
+    total = 0
+    for c in report.classes:
+        assert c.d * rcf_rel_degree(dK, f) == field_degree(c.field)
+        assert c.e in (1, w_K // 2)
+        total += c.e * c.d * c.count
+    assert total == _psi_phi(N)[0] * M * _psi_phi(M)[1]

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from cmlocus.arith import OrderDisc, psi
+from cmlocus.arith import OrderDisc, ValidationError, psi
 from cmlocus.forms import two_torsion_count
 from cmlocus.graph import conjugation_graph, enumerate_paths, geometric_points
 from cmlocus.pathstats import orbit_counts, type_counts
@@ -106,3 +106,12 @@ def test_frozen_real_path_counts():
     expect_32 = {1: 1, 2: 2, 3: 4, 4: 4}  # (-3,2,1) doubling then pairing
     for a, r in expect_32.items():
         assert type_counts(-3, 2, 1, 0, a)[(0, 0, a)][1] == r
+
+
+def test_walker_rejects_bad_parameters():
+    with pytest.raises(ValidationError):
+        type_counts(-4, 4, 1, 0, 2)  # composite ell
+    with pytest.raises(ValidationError):
+        type_counts(-7, 2, 1, 0, 2)  # outside the two maximal orders
+    with pytest.raises(ValidationError):
+        type_counts(-4, 2, 2, 0, 2)  # f0 not coprime to ell

@@ -75,7 +75,7 @@ def test_conductor_divisibility_invariant():
                 for a in range(1, 6):
                     for c in path_classes(order, ell, a):
                         b, h, d = c.bhd
-                        terminal = order.prime_to_ell_conductor(ell) * ell ** (
+                        terminal = order.f // ell**L * ell ** (
                             L - b + d
                         )
                         assert c.field.m % lcm(order.f, terminal) == 0
