@@ -5,7 +5,7 @@ part and a conductor.
 Everything here is plain integer arithmetic; no floats anywhere.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 TRIAL_LIMIT = 10**12
@@ -47,15 +47,29 @@ def kronecker(a: int, n: int) -> int:
 
 
 def _pollard_rho(n: int) -> int:
-    # Floyd cycle with deterministic constant sweep; n odd composite.
+    # Brent's cycle, one gcd per 128 differences multiplied mod n, with a
+    # deterministic constant sweep; n odd composite.  A batch whose product
+    # is 0 mod n is replayed one gcd per step from its start.
     for c in range(1, 100):
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = gcd(q, n)
+                if d != 1:
+                    break
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = gcd(abs(x - ys), n)
         if d != n:
             return d
     raise ValidationError(f"failed to factor {n}")
@@ -174,13 +188,15 @@ def is_fundamental(d: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class OrderDisc:
+class OrderDisc(namedtuple("OrderDisc", "delta delta_K f")):
     """An imaginary quadratic discriminant split as delta = f^2 * delta_K."""
 
-    delta: int
-    delta_K: int
-    f: int
+    __slots__ = ()
+
+    def __new__(cls, delta: int, delta_K: int, f: int):
+        self = tuple.__new__(cls, (delta, delta_K, f))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.delta >= 0 or self.delta % 4 not in (0, 1):

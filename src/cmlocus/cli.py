@@ -10,6 +10,8 @@ import sys
 from collections import Counter
 from math import gcd
 
+from . import __version__
+from ._kernel import BACKEND
 from .arith import OrderDisc, ValidationError, psi, split_discriminant
 from .fields import FieldSymbol, compose_rcf, field_degree, tensor_rcf
 from .forms import reduced_forms, two_torsion_count
@@ -274,6 +276,8 @@ def _cmd_check(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cmlocus", description=__doc__)
+    version = f"cmlocus {__version__} (kernel: {BACKEND})"
+    parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fiber", help="fiber of X0(M,N) over a CM point")

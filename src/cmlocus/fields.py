@@ -7,7 +7,7 @@ class number formula; the reduced-forms census in ``forms`` is kept as an
 independent oracle for it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -75,13 +75,16 @@ def canonical_conductor(delta_K: int, m: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class FieldSymbol:
-    """Q(m) or K(m) over the field of discriminant delta_K in {-3, -4}."""
+class FieldSymbol(namedtuple("FieldSymbol", "base m delta_K")):
+    """Q(m) or K(m) over the field of discriminant delta_K in {-3, -4};
+    ``base`` is RATIONAL or RING_CLASS."""
 
-    base: str  # RATIONAL or RING_CLASS
-    m: int
-    delta_K: int
+    __slots__ = ()
+
+    def __new__(cls, base: str, m: int, delta_K: int):
+        self = tuple.__new__(cls, (base, m, delta_K))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.base not in (RATIONAL, RING_CLASS):
@@ -150,8 +153,7 @@ def minimal_fields(syms) -> list[FieldSymbol]:
     return sorted(out, key=lambda s: (s.base, s.canonical_m()))
 
 
-@dataclass(frozen=True)
-class CompositumResult:
+class CompositumResult(namedtuple("CompositumResult", "closure index")):
     """A compositum presented as a subfield of a ring-class closure.
 
     ``closure`` is the smallest ring-class-type field containing the
@@ -159,8 +161,7 @@ class CompositumResult:
     has degree field_degree(closure) / index.
     """
 
-    closure: FieldSymbol
-    index: int
+    __slots__ = ()
 
     def degree(self) -> int:
         d = field_degree(self.closure)

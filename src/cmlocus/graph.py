@@ -11,7 +11,7 @@ This module materializes graphs for brute-force enumeration; the
 non-materializing counter lives in ``pathstats``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .arith import ValidationError, _is_probable_prime, kronecker
@@ -29,26 +29,12 @@ from .forms import (
 COVER_PARAMS = ((-4, 2, 1), (-3, 3, 1))
 
 
-@dataclass(frozen=True)
-class Vertex:
-    copy: int
-    level: int
-    index: int
+Vertex = namedtuple("Vertex", "copy level index")
+Edge = namedtuple("Edge", "eid src dst kind parallel")  # kind: up | down | horiz
 
 
-@dataclass(frozen=True)
-class Edge:
-    eid: int
-    src: Vertex
-    dst: Vertex
-    kind: str  # "up" | "down" | "horiz"
-    parallel: int
-
-
-@dataclass(frozen=True)
-class GraphPath:
-    start_level: int
-    edges: tuple[Edge, ...]
+class GraphPath(namedtuple("GraphPath", "start_level edges")):
+    __slots__ = ()
 
     @property
     def bhd(self) -> tuple[int, int, int]:
@@ -58,11 +44,8 @@ class GraphPath:
         return (b, h, d)
 
 
-@dataclass(frozen=True)
-class GeometricPoint:
-    paths: tuple[GraphPath, ...]
-    e: int
-    real: bool
+class GeometricPoint(namedtuple("GeometricPoint", "paths e real")):
+    __slots__ = ()
 
     @property
     def bhd(self):
@@ -137,6 +120,9 @@ def build_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
     g = IsogenyGraph(delta_K, ell, f0, depth)
     # level m holds the h(ell^(2m) f0^2 delta_K) = [K(ell^m f0):K(1)] classes
     g.level_counts = [rcf_rel_degree(delta_K, ell**m * f0) for m in range(depth + 1)]
+    size = sum(g.level_counts)
+    if size > VERTEX_LIMIT:
+        raise ValidationError(f"graph of {size} vertices exceeds the limit {VERTEX_LIMIT}")
 
     if f0 == 1:
         _build_surface_max_order(g)
@@ -463,6 +449,7 @@ def conjugation_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
 
 
 PATH_LIMIT = 3_000_000
+VERTEX_LIMIT = 1_000_000  # vertices one build_graph may materialize
 
 
 def enumerate_paths(graph: IsogenyGraph, start_level: int, a: int,

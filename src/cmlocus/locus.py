@@ -7,13 +7,14 @@ dedicated residue-field rules; all larger orders inside the same
 two fields go through the compositum/tensor algebra.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import lcm
 
 from .arith import (
     OrderDisc,
     ValidationError,
+    _is_probable_prime,
     euler_phi,
     factorize,
     kronecker,
@@ -32,22 +33,13 @@ from .fields import (
 from .tables import PathClass, class_d, class_e, path_classes
 
 
-@dataclass(frozen=True)
-class ClosedPointClass:
-    field: FieldSymbol
-    d: int
-    e: int
-    count: int
-    path_type: tuple[int, int, int] | None = None
+ClosedPointClass = namedtuple(
+    "ClosedPointClass", "field d e count path_type", defaults=(None,)
+)
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    M: int
-    N: int
-    order: OrderDisc
-    classes: tuple[ClosedPointClass, ...]
-    check_total: int
+class FiberReport(namedtuple("FiberReport", "M N order classes check_total")):
+    __slots__ = ()
 
     @property
     def expected_total(self) -> int:
@@ -58,19 +50,19 @@ class FiberReport:
         return self.check_total == self.expected_total
 
 
-@dataclass(frozen=True)
-class PrimeLocalDatum:
-    """The ell-local data of a chosen downstairs class on X0(ell^a)."""
+class PrimeLocalDatum(namedtuple("PrimeLocalDatum", "ell a_prime a descents contains_K "
+                                 "split_surface_edge purely_descending conductor_exp horizontal")):
+    """The ell-local data of a chosen downstairs class on X0(ell^a);
+    ``conductor_exp`` is the ell-exponent of the downstairs field."""
 
-    ell: int
-    a_prime: int
-    a: int
-    descents: int
-    contains_K: bool
-    split_surface_edge: bool
-    purely_descending: bool
-    conductor_exp: int | None = None  # ell-exponent of the downstairs field
-    horizontal: int = 0
+    __slots__ = ()
+
+    def __new__(cls, ell, a_prime, a, descents, contains_K, split_surface_edge,
+                purely_descending, conductor_exp=None, horizontal=0):
+        self = tuple.__new__(cls, (ell, a_prime, a, descents, contains_K, split_surface_edge,
+                                   purely_descending, conductor_exp, horizontal))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if not 0 <= self.a_prime <= self.a:
@@ -334,6 +326,8 @@ def primitive_prime_power(order: OrderDisc, ell: int, a_prime: int, a: int):
     """Primitive residue fields of CM points on X0(ell^a', ell^a)."""
     if not 0 <= a_prime <= a or ell**a < 2:
         raise ValidationError("need 0 <= a' <= a and ell^a >= 2")
+    if not _is_probable_prime(ell):
+        raise ValidationError(f"{ell} is not prime")
     dK, f, delta = order.delta_K, order.f, order.delta
     L = order.ell_valuation(ell)
     if a_prime == 0:

@@ -13,20 +13,17 @@ graph structure; these tables stay the source of truth for the Galois
 grouping into closed points.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import OrderDisc, ValidationError, _is_probable_prime, kronecker, psi
-from .fields import FieldSymbol, K, Q, check_delta_K, field_degree, rcf_rel_degree
+from .fields import K, Q, check_delta_K, field_degree, rcf_rel_degree
 
 
-@dataclass(frozen=True)
-class PathClass:
-    """One closed point class: path shape, residue field, multiplicity."""
+class PathClass(namedtuple("PathClass", "bhd field count type_tag")):
+    """One closed point class: path shape (b, h, d), residue field,
+    multiplicity and table type tag."""
 
-    bhd: tuple[int, int, int]
-    field: FieldSymbol
-    count: int
-    type_tag: str
+    __slots__ = ()
 
     @property
     def descents(self) -> int:

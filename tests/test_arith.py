@@ -50,6 +50,8 @@ def test_factorize():
     assert factorize(big * 7) == {7: 1, big: 1}
     # strong pseudoprime to the prime bases 2..37 (psi_12, Sorenson-Webster)
     assert factorize(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+    # two primes near 10^11 and 10^12: Pollard rho past the trial-division wheel
+    assert factorize(999999999989 * 99999999977) == {999999999989: 1, 99999999977: 1}
     with pytest.raises(ValidationError):
         factorize(0)
     with pytest.raises(ValidationError):

@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+from cmlocus import __version__
+from cmlocus._kernel import BACKEND
 from cmlocus.cli import main
 
 
@@ -152,6 +156,16 @@ def test_exit_codes(capsys):
     assert code == 2 and "not prime" in err
     code, _, err = run(capsys, "primitive", "--dk", "-7", "--N", "5")
     assert code == 2 and "validation" in err
+    code, _, err = run(capsys, "graph", "--dk", "-4", "--l", "13", "--depth", "12")
+    assert code == 2 and "exceeds the limit" in err
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0
+    assert BACKEND in ("pure", "fast")
+    assert capsys.readouterr().out == f"cmlocus {__version__} (kernel: {BACKEND})\n"
 
 
 def test_fiber_at_large_prime_level(capsys):

@@ -219,6 +219,8 @@ def test_build_rejects_bad_parameters():
         build_graph(-4, 2, 2, 2)  # f0 not coprime to ell
     with pytest.raises(ValidationError):
         build_graph(-4, 2, 1, 0)
+    with pytest.raises(ValidationError):
+        build_graph(-4, 13, 1, 12)  # about 1.2e13 vertices, past VERTEX_LIMIT
 
 
 def test_x0nn_consistency():

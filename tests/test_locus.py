@@ -10,6 +10,7 @@ from cmlocus.locus import (
     fiber_X0MN,
     lift_residue_prime_power,
     moduli_bounds,
+    primitive_prime_power,
     residue_X0MN,
     residue_X0N,
     x_nn_residue,
@@ -178,6 +179,9 @@ def test_data_validation():
         residue_X0N(O4, [PrimeLocalDatum(5, 0, 1, 0, True, True, False)] * 2)
     with pytest.raises(ValidationError):
         fiber_X0MN(O4, 3, 4)
+    for ell, a_prime, a in ((4, 0, 2), (6, 1, 1)):  # composite ell
+        with pytest.raises(ValidationError):
+            primitive_prime_power(O4, ell, a_prime, a)
 
 
 def _prime_powers(n):
