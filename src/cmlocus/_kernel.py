@@ -1,9 +1,5 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise."""
+"""Name of the census implementation that ran: the pure-Python loop in
+``forms.reduced_forms``.  ``cmlocus --version`` prints it, and the
+benchmark probe reads ``BACKEND`` from this module."""
 
-try:
-    from . import _fastcore as _impl
-except ImportError:  # extension not built on this install
-    from . import _purecore as _impl
-
-BACKEND = _impl.BACKEND
-form_census = _impl.form_census
+BACKEND = "pure"

@@ -105,6 +105,11 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(ell: int) -> None:
+    if not _is_probable_prime(ell):
+        raise ValidationError(f"{ell} is not prime")
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of ``n`` >= 1 as {prime: exponent}.
 
@@ -188,6 +193,11 @@ def is_fundamental(d: int) -> bool:
     return False
 
 
+def _check_disc(delta: int) -> None:
+    if delta >= 0 or delta % 4 not in (0, 1):
+        raise ValidationError(f"not an imaginary quadratic discriminant: {delta}")
+
+
 class OrderDisc(namedtuple("OrderDisc", "delta delta_K f")):
     """An imaginary quadratic discriminant split as delta = f^2 * delta_K."""
 
@@ -198,9 +208,13 @@ class OrderDisc(namedtuple("OrderDisc", "delta delta_K f")):
         self.__post_init__()
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __post_init__
+        return cls(*iterable)
+
     def __post_init__(self):
-        if self.delta >= 0 or self.delta % 4 not in (0, 1):
-            raise ValidationError(f"invalid discriminant {self.delta}")
+        _check_disc(self.delta)
         if self.f <= 0 or self.f * self.f * self.delta_K != self.delta:
             raise ValidationError(
                 f"conductor mismatch: {self.f}^2 * {self.delta_K} != {self.delta}"
@@ -219,8 +233,7 @@ class OrderDisc(namedtuple("OrderDisc", "delta delta_K f")):
 
 def split_discriminant(delta: int) -> OrderDisc:
     """Split ``delta`` into (delta_K, f) with delta_K fundamental."""
-    if delta >= 0 or delta % 4 not in (0, 1):
-        raise ValidationError(f"invalid discriminant {delta}")
+    _check_disc(delta)
     f = 1
     for p, e in factorize(-delta).items():
         f *= p ** (e // 2)

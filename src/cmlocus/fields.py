@@ -86,6 +86,11 @@ class FieldSymbol(namedtuple("FieldSymbol", "base m delta_K")):
         self.__post_init__()
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __post_init__
+        return cls(*iterable)
+
     def __post_init__(self):
         if self.base not in (RATIONAL, RING_CLASS):
             raise ValidationError(f"bad base {self.base!r}")

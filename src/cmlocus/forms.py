@@ -1,42 +1,49 @@
 """Binary quadratic forms: reduction, censuses, genus theory, Gaussian
 composition.
 
-The O(|delta|) reduced-form census backs only ``class_number`` (kernel
-backed) and ``reduced_forms``.  The 2-torsion order of the form class
-group, which is also the per-level count of conjugation-fixed vertices in
-the isogeny graph, comes from genus theory and needs only a factorization
-of delta.
+The O(|delta|) reduced-form census backs only ``reduced_forms`` and
+``class_number``.  The 2-torsion order of the form class group, which is
+also the per-level count of conjugation-fixed vertices in the isogeny
+graph, comes from genus theory and needs only a factorization of delta.
 """
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
-from . import _kernel, _purecore
-from .arith import ValidationError, factorize
+from .arith import ValidationError, _check_disc, factorize
 
 DISC_CAP = 10**7  # census guard; O(|delta|) enumeration beyond this is refused
 
 
-def _check_disc(delta: int) -> None:
-    if delta >= 0 or delta % 4 not in (0, 1):
-        raise ValidationError(f"not an imaginary quadratic discriminant: {delta}")
-
-
 def reduced_forms(delta: int) -> list[tuple[int, int, int]]:
-    """All reduced primitive forms (a, b, c) of discriminant ``delta``."""
+    """All reduced primitive forms (a, b, c) of discriminant ``delta``, sorted.
+
+    Conventions: -a < b <= a <= c, b >= 0 when a == c, gcd(a, b, c) = 1.
+    The loop is b-major: a reduced form has 0 <= |b| <= a <= sqrt(|delta|/3),
+    and for each b >= 0 its a are the divisors of (b^2 - delta)/4 in
+    [max(b, 1), sqrt((b^2 - delta)/4)], which puts a <= c.
+    """
     _check_disc(delta)
     if -delta > DISC_CAP:
         raise ValidationError(f"|delta| exceeds census cap {DISC_CAP}")
-    return _purecore.reduced_forms(delta)
+    n = -delta
+    out = []
+    for b in range(delta % 2, isqrt(n // 3) + 1, 2):
+        m = (b * b + n) // 4
+        for a in [a for a in range(max(b, 1), isqrt(m) + 1) if m % a == 0]:
+            c = m // a
+            if gcd(a, b, c) == 1:
+                out.append((a, b, c))
+                if 0 < b < a < c:
+                    out.append((a, -b, c))
+    out.sort()
+    return out
 
 
 @lru_cache(maxsize=None)
 def class_number(delta: int) -> int:
     """h(delta) by exhaustive reduced-form enumeration."""
-    _check_disc(delta)
-    if -delta > DISC_CAP:
-        raise ValidationError(f"|delta| exceeds census cap {DISC_CAP}")
-    return _kernel.form_census(delta)[0]
+    return len(reduced_forms(delta))
 
 
 @lru_cache(maxsize=None)

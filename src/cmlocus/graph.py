@@ -14,7 +14,7 @@ non-materializing counter lives in ``pathstats``.
 from collections import namedtuple
 from functools import lru_cache
 
-from .arith import ValidationError, _is_probable_prime, kronecker
+from .arith import ValidationError, _check_prime, kronecker
 from .fields import check_delta_K, rcf_rel_degree, unit_count
 from .forms import (
     compose,
@@ -111,8 +111,7 @@ class IsogenyGraph:
 def build_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
     """Build the truncated graph down to ``depth`` levels below the surface."""
     check_delta_K(delta_K)
-    if not _is_probable_prime(ell):
-        raise ValidationError(f"{ell} is not prime")
+    _check_prime(ell)
     if f0 % ell == 0:
         raise ValidationError("f0 must be coprime to ell")
     if depth < 1:

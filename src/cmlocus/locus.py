@@ -14,7 +14,7 @@ from math import lcm
 from .arith import (
     OrderDisc,
     ValidationError,
-    _is_probable_prime,
+    _check_prime,
     euler_phi,
     factorize,
     kronecker,
@@ -63,6 +63,11 @@ class PrimeLocalDatum(namedtuple("PrimeLocalDatum", "ell a_prime a descents cont
                                    purely_descending, conductor_exp, horizontal))
         self.__post_init__()
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __post_init__
+        return cls(*iterable)
 
     def __post_init__(self):
         if not 0 <= self.a_prime <= self.a:
@@ -326,8 +331,7 @@ def primitive_prime_power(order: OrderDisc, ell: int, a_prime: int, a: int):
     """Primitive residue fields of CM points on X0(ell^a', ell^a)."""
     if not 0 <= a_prime <= a or ell**a < 2:
         raise ValidationError("need 0 <= a' <= a and ell^a >= 2")
-    if not _is_probable_prime(ell):
-        raise ValidationError(f"{ell} is not prime")
+    _check_prime(ell)
     dK, f, delta = order.delta_K, order.f, order.delta
     L = order.ell_valuation(ell)
     if a_prime == 0:

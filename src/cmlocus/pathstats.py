@@ -8,7 +8,7 @@ Serves as the brute-force oracle against the normative tables on parameter
 ranges where an explicit graph would not fit in memory.
 """
 
-from .arith import ValidationError, _is_probable_prime, kronecker
+from .arith import ValidationError, _check_prime, kronecker
 from .fields import check_delta_K, unit_count
 from .forms import two_torsion_count
 
@@ -18,8 +18,7 @@ class _Tower:
 
     def __init__(self, delta_K, ell, f0):
         check_delta_K(delta_K)
-        if not _is_probable_prime(ell):
-            raise ValidationError(f"{ell} is not prime")
+        _check_prime(ell)
         if f0 % ell == 0:
             raise ValidationError("f0 must be coprime to ell")
         self.delta_K = delta_K

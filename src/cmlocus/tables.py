@@ -15,7 +15,7 @@ grouping into closed points.
 
 from collections import namedtuple
 
-from .arith import OrderDisc, ValidationError, _is_probable_prime, kronecker, psi
+from .arith import OrderDisc, ValidationError, _check_prime, kronecker, psi
 from .fields import K, Q, check_delta_K, field_degree, rcf_rel_degree
 
 
@@ -42,8 +42,7 @@ def path_classes(order: OrderDisc, ell: int, a: int) -> list[PathClass]:
     """All closed point classes of X0(ell^a) -> X(1) over the CM point of
     ``order``, for delta_K in {-3, -4}."""
     check_delta_K(order.delta_K)
-    if not _is_probable_prime(ell):
-        raise ValidationError(f"{ell} is not prime")
+    _check_prime(ell)
     if a < 1:
         raise ValidationError("a must be >= 1")
     dK = order.delta_K

@@ -3,7 +3,6 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmlocus import _purecore
 from cmlocus.arith import ValidationError
 from cmlocus.forms import (
     class_group_order_of,
@@ -57,7 +56,8 @@ def test_two_torsion_divides_and_squares_trivial():
 def test_two_torsion_genus_theory_matches_census():
     for delta in range(-3, -20000, -1):
         if delta % 4 in (0, 1):
-            assert two_torsion_count(delta) == _purecore.form_census(delta)[1], delta
+            ambiguous = sum(map(is_ambiguous, reduced_forms(delta)))
+            assert two_torsion_count(delta) == ambiguous, delta
 
 
 @settings(deadline=None)
@@ -65,7 +65,7 @@ def test_two_torsion_genus_theory_matches_census():
 def test_two_torsion_divides_class_number_and_counts_ambiguous_forms(n):
     r2 = two_torsion_count(-n)
     assert class_number(-n) % r2 == 0
-    assert r2 == _purecore.form_census(-n)[1]
+    assert r2 == sum(map(is_ambiguous, reduced_forms(-n)))
 
 
 def _a_major_reduced_forms(delta):
@@ -84,14 +84,6 @@ def test_reduced_forms_match_a_major_census():
     deltas = [d for d in range(-3, -5000, -1) if d % 4 in (0, 1)]
     for delta in deltas + [-404100, -404103]:
         assert reduced_forms(delta) == _a_major_reduced_forms(delta), delta
-
-
-def test_pure_and_fast_kernels_agree():
-    for delta in range(-3, -1500, -1):
-        if delta % 4 in (0, 1):
-            h, amb = _purecore.form_census(delta)
-            assert h == class_number(delta)
-            assert amb == two_torsion_count(delta)
 
 
 def test_reduction_idempotent_and_canonical():
@@ -134,5 +126,7 @@ def test_prime_form():
 
 
 def test_census_guard():
-    with pytest.raises(ValidationError):
-        class_number(-(10**7) - 3)
+    for census in (class_number, reduced_forms):
+        for delta in (-(10**7) - 3, -5, 0, 4):
+            with pytest.raises(ValidationError):
+                census(delta)

@@ -66,6 +66,19 @@ def test_validation_runs_on_construction():
     assert datum.horizontal == 1
 
 
+def test_make_and_replace_validate():
+    with pytest.raises(ValidationError):
+        OrderDisc._make((5, 5, 1))
+    with pytest.raises(ValidationError):
+        FieldSymbol("K", 2, -4)._replace(delta_K=-7)
+    datum = PrimeLocalDatum(5, 0, 1, 1, False, False, True)
+    with pytest.raises(ValidationError):
+        datum._replace(a_prime=5)
+    assert OrderDisc._make((-36, -4, 3)) == OrderDisc.from_parts(-4, 3)
+    assert K(6, -3)._replace(m=2) == K(2, -3)
+    assert datum._replace(horizontal=1).horizontal == 1
+
+
 def test_cli_import_leaves_out_dataclasses():
     # a fresh interpreter: pytest itself imports dataclasses
     src = os.path.dirname(os.path.dirname(cmlocus.__file__))
