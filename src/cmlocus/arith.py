@@ -16,6 +16,13 @@ class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""
 
 
+def _check_consistent(ok: bool, message: str) -> None:
+    # an internal consistency check that, unlike ``assert``, still runs
+    # under ``python -O``; the CLI maps AssertionError to exit code 3
+    if not ok:
+        raise AssertionError(message)
+
+
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), fully extended: n of either sign, with the
     usual supplementary rules at 2, -1 and 0."""

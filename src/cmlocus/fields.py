@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import ValidationError, factorize, kronecker
+from .arith import ValidationError, _check_consistent, factorize, kronecker
 
 RATIONAL = "Q"
 RING_CLASS = "K"
@@ -51,7 +51,7 @@ def rcf_rel_degree(delta_K: int, f: int) -> int:
     den = unit_count(delta_K)
     for ell in factorize(f):
         num = num // ell * (ell - kronecker(delta_K, ell))
-    assert num % den == 0
+    _check_consistent(num % den == 0, f"d({f}) = {num}/{den} is not an integer")
     return num // den
 
 
@@ -170,7 +170,7 @@ class CompositumResult(namedtuple("CompositumResult", "closure index")):
 
     def degree(self) -> int:
         d = field_degree(self.closure)
-        assert d % self.index == 0
+        _check_consistent(d % self.index == 0, "compositum index does not divide its degree")
         return d // self.index
 
 
@@ -208,7 +208,7 @@ def compose_rcf(factors) -> CompositumResult:
     for comp in components:
         comp_degree *= rcf_rel_degree(delta_K, comp)
     total = rcf_rel_degree(delta_K, big)
-    assert total % comp_degree == 0
+    _check_consistent(total % comp_degree == 0, "compositum degree does not divide d(lcm)")
     return CompositumResult(K(big, delta_K), total // comp_degree)
 
 

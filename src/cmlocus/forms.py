@@ -10,7 +10,7 @@ graph, comes from genus theory and needs only a factorization of delta.
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import ValidationError, _check_disc, factorize
+from .arith import ValidationError, _check_consistent, _check_disc, factorize
 
 DISC_CAP = 10**7  # census guard; O(|delta|) enumeration beyond this is refused
 
@@ -89,32 +89,6 @@ def inverse_form(form: tuple[int, int, int]) -> tuple[int, int, int]:
     return reduce_form((a, -b, c))
 
 
-def _represent_coprime_to(form, bound_val):
-    # Find a primitive (x, y) whose represented value is coprime to bound_val.
-    a, b, c = form
-    for r in range(1, 40):
-        for x in range(-r, r + 1):
-            for y in range(-r, r + 1):
-                if gcd(x, y) != 1:
-                    continue
-                v = a * x * x + b * x * y + c * y * y
-                if v != 0 and gcd(v, bound_val) == 1:
-                    return x, y
-    raise ValidationError("no coprime representation found")
-
-
-def _transform_to_leading(form, x, y):
-    # Change of basis sending (x, y) to the leading coefficient slot.
-    a, b, c = form
-    g, u, v = _ext_gcd(x, y)
-    assert g == 1
-    # matrix [[x, -v], [y, u]] has det 1
-    a2 = a * x * x + b * x * y + c * y * y
-    b2 = 2 * a * x * (-v) + b * (x * u - v * y) + 2 * c * y * u
-    c2 = a * v * v - b * v * u + c * u * u
-    return (a2, b2, c2)
-
-
 def _ext_gcd(x, y):
     if y == 0:
         return (abs(x), 1 if x >= 0 else -1, 0)
@@ -123,21 +97,20 @@ def _ext_gcd(x, y):
 
 
 def compose(f1, f2, delta: int) -> tuple[int, int, int]:
-    """Gaussian composition of primitive forms of discriminant ``delta``."""
+    """Gaussian composition of primitive forms of discriminant ``delta``
+    (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 5.4.7)."""
     a1, b1, _ = f1
-    if gcd(a1, f2[0]) != 1:
-        x, y = _represent_coprime_to(f2, a1)
-        f2 = _transform_to_leading(f2, x, y)
-    a2, b2, _ = f2
-    assert gcd(a1, a2) == 1
-    # Dirichlet composition: B = b1 (mod 2a1), B = b2 (mod 2a2); the moduli
-    # share a factor 2, but b1 = b2 = delta (mod 2) keeps this solvable.
-    t = (((b2 - b1) // 2) * pow(a1, -1, a2)) % a2
-    B = b1 + 2 * a1 * t
-    a3 = a1 * a2
-    assert (B * B - delta) % (4 * a3) == 0
-    c3 = (B * B - delta) // (4 * a3)
-    return reduce_form((a3, B, c3))
+    a2, b2, c2 = f2
+    s = (b1 + b2) // 2
+    d, y1, _ = _ext_gcd(a2, a1)  # d = y1*a2 + v*a1
+    d1, x2, y2 = _ext_gcd(s, d)  # d1 = x2*s + y2*d
+    v1 = a1 // d1
+    v2 = a2 // d1
+    r = (-y1 * y2 * (b2 - s) - x2 * c2) % v1
+    b3 = b2 + 2 * v2 * r
+    a3 = v1 * v2
+    _check_consistent((b3 * b3 - delta) % (4 * a3) == 0, "composition left a non-integral c")
+    return reduce_form((a3, b3, (b3 * b3 - delta) // (4 * a3)))
 
 
 def form_pow(form, k: int, delta: int) -> tuple[int, int, int]:

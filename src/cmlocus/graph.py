@@ -14,7 +14,7 @@ non-materializing counter lives in ``pathstats``.
 from collections import namedtuple
 from functools import lru_cache
 
-from .arith import ValidationError, _check_prime, kronecker
+from .arith import ValidationError, _check_consistent, _check_prime, kronecker
 from .fields import check_delta_K, rcf_rel_degree, unit_count
 from .forms import (
     compose,
@@ -149,7 +149,7 @@ def _build_surface_max_order(g: IsogenyGraph):
         g.dual[p.eid] = p.eid
     # descent bundles
     n1 = (ell - chi) // w2
-    assert n1 == g.level_counts[1]
+    _check_consistent(n1 == g.level_counts[1], "surface descent bundles miss level 1")
     for t in range(n1):
         tv = Vertex(0, 1, t)
         up = g._add_edge(tv, v0, "up")
@@ -171,7 +171,7 @@ def _build_surface_suborder(g: IsogenyGraph):
         if pcls != one and pcls in forms:
             order.append(pcls)
     order += sorted(f for f in forms if f not in order)
-    assert len(order) == g.level_counts[0]
+    _check_consistent(len(order) == g.level_counts[0], "surface forms miss the class number")
     g.surface_forms = order
     index_of = {f: i for i, f in enumerate(order)}
 
@@ -199,7 +199,7 @@ def _build_surface_suborder(g: IsogenyGraph):
                 g.dual[p_edge[i].eid] = p_edge[ti].eid
     # simple descents, contiguous blocks
     k0 = ell - chi
-    assert k0 * len(order) == g.level_counts[1]
+    _check_consistent(k0 * len(order) == g.level_counts[1], "surface descents miss level 1")
     for i in range(len(order)):
         src = Vertex(0, 0, i)
         for j in range(k0):
@@ -214,7 +214,7 @@ def _build_lower_levels(g: IsogenyGraph):
     ell = g.ell
     for m in range(1, g.depth):
         cnt, nxt = g.level_counts[m], g.level_counts[m + 1]
-        assert nxt == ell * cnt
+        _check_consistent(nxt == ell * cnt, f"level {m + 1} is not ell times level {m}")
         for i in range(cnt):
             src = Vertex(0, m, i)
             for j in range(ell):
@@ -244,7 +244,7 @@ def _mark_conjugation(g: IsogenyGraph):
             j = g.surface_forms.index(inverse_form(f))
             g.conj_v[Vertex(0, 0, i)] = Vertex(0, 0, j)
         real_prev = [i for i, f in enumerate(g.surface_forms) if is_ambiguous(f)]
-        assert len(real_prev) == _rtor(g, 0)
+        _check_consistent(len(real_prev) == _rtor(g, 0), "ambiguous forms miss #Pic[2]")
 
     parent_of: dict[tuple[int, int], int] = {}
     children_of: dict[tuple[int, int], list[int]] = {}
@@ -270,7 +270,7 @@ def _mark_conjugation(g: IsogenyGraph):
             for x, y in zip(block[0::2], block[1::2]):
                 conj_idx[x] = y
                 conj_idx[y] = x
-            assert len(block) % 2 == 0
+            _check_consistent(len(block) % 2 == 0, "odd block of complex vertices")
         for p in range(g.level_counts[m - 1]):
             q = g.conj_v[Vertex(0, m - 1, p)].index
             if q == p:
@@ -299,11 +299,11 @@ def _distribute_reals(g, m, real_parents, children_of, parent_of, r_here):
     child_count = len(per_parent[ordered[0]]) if ordered else 0
     reals: list[int] = []
     if child_count % 2 == 1:
-        assert r_here == len(ordered)
+        _check_consistent(r_here == len(ordered), f"level {m}: real children miss parents")
         for p in ordered:
             reals.append(per_parent[p][0])
         return sorted(reals)
-    assert r_here % 2 == 0
+    _check_consistent(r_here % 2 == 0, f"level {m}: odd count of real vertices")
     fertile_needed = r_here // 2
     if surface_junction or 2 * len(ordered) == r_here:
         fertile = ordered[:fertile_needed]
@@ -314,9 +314,9 @@ def _distribute_reals(g, m, real_parents, children_of, parent_of, r_here):
             groups.setdefault(parent_of[(m - 1, p)], []).append(p)
         fertile = []
         for gp in groups.values():
-            assert len(gp) == 2
+            _check_consistent(len(gp) == 2, "real parents are not sibling pairs")
             fertile.append(min(gp))
-        assert len(fertile) == fertile_needed
+        _check_consistent(len(fertile) == fertile_needed, f"level {m}: wrong fertile count")
     for p in fertile:
         reals.extend(per_parent[p][:2])
     return sorted(reals)

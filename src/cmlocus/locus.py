@@ -9,11 +9,12 @@ two fields go through the compositum/tensor algebra.
 
 from collections import namedtuple
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from .arith import (
     OrderDisc,
     ValidationError,
+    _check_consistent,
     _check_prime,
     euler_phi,
     factorize,
@@ -74,6 +75,8 @@ class PrimeLocalDatum(namedtuple("PrimeLocalDatum", "ell a_prime a descents cont
             raise ValidationError("need 0 <= a' <= a")
         if self.descents > self.a:
             raise ValidationError("descending count exceeds path length")
+        if self.purely_descending and self.descents != self.a:
+            raise ValidationError("a purely descending path descends a times")
         if self.split_surface_edge and not self.contains_K:
             raise ValidationError("a split surface edge forces K in the field")
 
@@ -163,50 +166,78 @@ def residue_X0N(order: OrderDisc, data) -> FieldSymbol:
     """Residue field on X0(N) from per-prime data; conductor-1 orders only."""
     if order.f != 1:
         raise ValidationError("residue_X0N applies to the maximal orders")
-    _check_distinct_primes(data)
-    m = 1
-    for d in data:
-        m *= d.ell**d.descents
-    if any(d.split_surface_edge for d in data):
-        return K(m, order.delta_K)
-    return Q(m, order.delta_K)
-
-
-def _check_distinct_primes(data):
-    primes = [d.ell for d in data]
-    if len(set(primes)) != len(primes):
-        raise ValidationError("one datum per prime")
+    _check_data(1, _level_of(data), data)
+    return _residue(order, 1, data)
 
 
 def residue_X0MN(order: OrderDisc, M: int, N: int, data) -> FieldSymbol:
     """Residue field on X0(M,N) from per-prime downstairs data."""
+    _check_data(M, N, data)
+    return _residue(order, M, data)
+
+
+def count_fiber_X0N(order: OrderDisc, data) -> tuple[int, FieldSymbol]:
+    """Number of points of X0(N) above a combination of per-prime classes,
+    together with their shared residue field."""
+    _check_data(1, _level_of(data), data)
+    field, _, count = _combination(order, 1, data)
+    return (count, field)
+
+
+def count_fiber_X0MN(order: OrderDisc, M: int, N: int, data) -> int:
+    """Number of points of X0(M,N) above a combination of downstairs
+    classes (all sharing one residue field)."""
+    _check_data(M, N, data)
+    return _combination(order, M, data)[2]
+
+
+def _level_of(data) -> int:
+    n = 1
+    for d in data:
+        n *= d.ell**d.a
+    return n
+
+
+def _check_divides(M, N):
+    if M < 1 or N < 1 or N % M != 0:
+        raise ValidationError(f"need M | N, got M={M}, N={N}")
+
+
+def _check_data(M, N, data):
+    """The public edge: M | N and one datum per prime ell of N, carrying
+    (a', a) = (v_ell(M), v_ell(N))."""
     _check_divides(M, N)
-    _check_distinct_primes(data)
-    dK, f = order.delta_K, order.f
+    want = sorted((ell, valuation(M, ell), a) for ell, a in factorize(N).items())
+    if sorted((d.ell, d.a_prime, d.a) for d in data) != want:
+        raise ValidationError(
+            f"data do not fit X0({M},{N}): need one datum per prime ell of N "
+            "with (a', a) = (v_ell(M), v_ell(N))"
+        )
+
+
+# The unchecked core: ``data`` holds one datum per prime of the level, as
+# ``fiber_X0MN`` builds them and ``_check_data`` admits them.
+
+
+def _residue(order: OrderDisc, M: int, data) -> FieldSymbol:
+    """Residue field on X0(M,N); with M = 1 and f = 1 this is the X0(N)
+    rule of the maximal orders."""
+    dK = order.delta_K
+    if order.f != 1:
+        return _combined_field(order, data, lifted=M != 1)
+    m = 1
     if M == 1:
-        if f == 1:
-            return residue_X0N(order, data)
-        return _combined_field(order, data, lifted=False)
-    if f == 1:
-        if M >= 3 or order.delta == -3:
-            m = 1
-            for d in data:
-                m *= d.ell ** max(d.a_prime, d.descents)
-            return K(m, dK)
-        # M = 2, delta = -4
-        d1 = next(d for d in data if d.ell == 2)
-        if d1.a >= 2 and not d1.purely_descending:
-            m = 1
-            for d in data:
-                m *= d.ell ** max(d.a_prime, d.descents)
-            return K(m, dK)
-        m = 2**d1.a
         for d in data:
-            if d.ell != 2:
-                m *= d.ell**d.descents
-        base_K = any(d.contains_K for d in data if d.ell != 2)
-        return K(m, dK) if base_K else Q(m, dK)
-    return _combined_field(order, data, lifted=True)
+            m *= d.ell**d.descents
+        return K(m, dK) if any(d.split_surface_edge for d in data) else Q(m, dK)
+    for d in data:
+        m *= d.ell ** max(d.a_prime, d.descents)
+    if M == 2 and order.delta == -4:
+        d1 = next(d for d in data if d.ell == 2)
+        if d1.a == 1 or d1.purely_descending:
+            base_K = any(d.contains_K for d in data if d.ell != 2)
+            return K(m, dK) if base_K else Q(m, dK)
+    return K(m, dK)
 
 
 def _combined_field(order: OrderDisc, data, lifted: bool) -> FieldSymbol:
@@ -226,35 +257,13 @@ def _combined_field(order: OrderDisc, data, lifted: bool) -> FieldSymbol:
     return Q(m, dK)
 
 
-def count_fiber_X0N(order: OrderDisc, data) -> tuple[int, FieldSymbol]:
-    """Number of points of X0(N) above a combination of per-prime classes,
-    together with their shared residue field."""
-    s = sum(1 for d in data if d.contains_K)
-    field = residue_X0MN(order, 1, _level_of(data), data)
-    return (2 ** max(s - 1, 0), field)
-
-
-def _level_of(data) -> int:
-    n = 1
-    for d in data:
-        n *= d.ell**d.a
-    return n
-
-
-def count_fiber_X0MN(order: OrderDisc, M: int, N: int, data) -> int:
-    """Number of points of X0(M,N) above a combination of downstairs
-    classes (all sharing one residue field)."""
-    _check_divides(M, N)
-    return _combination(order, M, N, data)[2]
-
-
-def _combination(order: OrderDisc, M: int, N: int, data):
+def _combination(order: OrderDisc, M: int, data):
     """(residue field, ramification index e, point count) of X0(M,N) above
     one combination of downstairs classes, in one pass."""
     s = sum(1 for d in data if d.contains_K)
-    field_up = residue_X0MN(order, M, N, data)
+    field_up = _residue(order, M, data)
     # over X0(N) itself the field and e are those of the downstairs points
-    field_down = field_up if M == 1 else residue_X0MN(order, 1, N, data)
+    field_down = field_up if M == 1 else _residue(order, 1, data)
     if order.f == 1:
         w2 = unit_count(order.delta_K) // 2
         e_down = 1 if all(d.descents == 0 for d in data) else w2
@@ -268,11 +277,6 @@ def _combination(order: OrderDisc, M: int, N: int, data):
     return field_up, e_up, num // den
 
 
-def _check_divides(M, N):
-    if M < 1 or N < 1 or N % M != 0:
-        raise ValidationError(f"need M | N, got M={M}, N={N}")
-
-
 def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
     """The full fiber of X0(M,N) -> X(1) over the CM point of ``order``."""
     _check_divides(M, N)
@@ -281,20 +285,24 @@ def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
         return FiberReport(M, N, order, (cls,), 1)
     fac = factorize(N)
     primes = sorted(fac)
-    per_prime = [path_classes(order, ell, fac[ell]) for ell in primes]
     a_primes = [valuation(M, ell) for ell in primes]
+    # each prime's rows (datum, multiplicity, path shape), built once
+    per_prime = [
+        [
+            (_datum(order, ell, a_prime, fac[ell], cls), cls.count, cls.bhd)
+            for cls in path_classes(order, ell, fac[ell])
+        ]
+        for ell, a_prime in zip(primes, a_primes)
+    ]
     base_degree = rcf_rel_degree(order.delta_K, order.f)
     merged: dict = {}
     single = len(primes) == 1
     for combo in product(*per_prime):
-        mult = 1
-        data = []
-        for ell, a_prime, cls in zip(primes, a_primes, combo):
-            mult *= cls.count
-            data.append(_datum(order, ell, a_prime, fac[ell], cls))
-        field, e, count = _combination(order, M, N, data)
+        data = [row[0] for row in combo]
+        mult = prod(row[1] for row in combo)
+        field, e, count = _combination(order, M, data)
         d = field_degree(field) // base_degree
-        tag = combo[0].bhd if single else None
+        tag = combo[0][2] if single else None
         key = (field, d, e, tag)
         merged[key] = merged.get(key, 0) + count * mult
     classes = tuple(
@@ -496,12 +504,10 @@ def x1_fiber(order: OrderDisc, M: int, N: int, point_kind: str = "non-elliptic")
             raise ValidationError(
                 f"X0({N}) has no elliptic point over discriminant {order.delta}"
             )
+        e = 2 if order.delta == -4 else 3
         phi = euler_phi(N)
-        if order.delta == -4:
-            assert phi % 4 == 0
-            return (2, phi // 4, 1)
-        assert phi % 6 == 0
-        return (3, phi // 6, 1)
+        _check_consistent(phi % (2 * e) == 0, f"phi({N}) is not a multiple of w_K")
+        return (e, phi // (2 * e), 1)
     f_deg = euler_phi(N) // 2 if N >= 3 else 1
     return (1, f_deg, 1)
 

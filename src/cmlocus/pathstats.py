@@ -8,7 +8,7 @@ Serves as the brute-force oracle against the normative tables on parameter
 ranges where an explicit graph would not fit in memory.
 """
 
-from .arith import ValidationError, _check_prime, kronecker
+from .arith import ValidationError, _check_consistent, _check_prime, kronecker
 from .fields import check_delta_K, unit_count
 from .forms import two_torsion_count
 
@@ -35,7 +35,9 @@ class _Tower:
         if d == 0:
             return 1
         if self.ell != 2:
-            assert self.rtor(m + 1) == self.rtor(m), "odd-ell 2-rank jump below surface"
+            _check_consistent(
+                self.rtor(m + 1) == self.rtor(m), "odd-ell 2-rank jump below surface"
+            )
             return 1
         if not fertile:
             return 0

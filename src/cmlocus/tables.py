@@ -15,7 +15,7 @@ grouping into closed points.
 
 from collections import namedtuple
 
-from .arith import OrderDisc, ValidationError, _check_prime, kronecker, psi
+from .arith import OrderDisc, ValidationError, _check_consistent, _check_prime, kronecker, psi
 from .fields import K, Q, check_delta_K, field_degree, rcf_rel_degree
 
 
@@ -164,5 +164,5 @@ def class_d(order: OrderDisc, cls: PathClass) -> int:
     """Residual degree over Q(J_delta)."""
     num = field_degree(cls.field)
     den = rcf_rel_degree(order.delta_K, order.f)
-    assert num % den == 0
+    _check_consistent(num % den == 0, "residual degree is not an integer")
     return num // den

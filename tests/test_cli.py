@@ -1,7 +1,15 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cmlocus
 from cmlocus.cli import main
 
 
@@ -32,6 +40,44 @@ def test_json_roundtrip_byte_identical(capsys):
     )
     assert code == 0
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("fiber", "primitive", "x1")),
+    st.sampled_from((-3, -4)),
+    st.integers(1, 50),
+    st.integers(1, 5000),
+    st.integers(0, 10**6),
+)
+def test_json_output_reserializes_byte_for_byte(command, dk, f, N, pick):
+    divisors = [m for m in range(1, N + 1) if N % m == 0]
+    M = divisors[pick % len(divisors)]
+    argv = [command, "--dk", str(dk), "--f", str(f), "--M", str(M), "--N", str(N)]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv + ["--format", "json"])
+    out = buf.getvalue()
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_consistency_checks_survive_python_O():
+    # with w_K patched to 7, the degree d(f) = 2f prod(1 - chi(l)/l) / w_K
+    # of a conductor-5 field is no integer; python -O must not skip that check
+    script = (
+        "import sys, cmlocus.cli, cmlocus.fields\n"
+        "cmlocus.fields.unit_count = lambda dk: 7\n"
+        "sys.exit(cmlocus.cli.main(['fiber', '--dk', '-4', '--f', '5', '--N', '2']))\n"
+    )
+    src = str(Path(cmlocus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert r.stderr.startswith("internal consistency failure: d(")
+    assert "/7 is not an integer" in r.stderr
 
 
 def test_table_and_json_agree(capsys):

@@ -110,6 +110,13 @@ def test_composition_group_laws():
                     )
 
 
+def test_composition_with_shared_leading_factors():
+    # gcd(a1, a2) > 1: the cases a coprime change of basis used to handle
+    assert compose((3, -2, 5), (3, -2, 5), -56) == (2, 0, 7)
+    assert compose((2, 2, 33), (6, -2, 11), -260) == (3, -2, 22)
+    assert compose((3, 3, 97), (15, 15, 23), -1155) == (5, 5, 59)
+
+
 def test_class_group_order_lagrange():
     for delta in (-84, -104, -231):
         h = class_number(delta)

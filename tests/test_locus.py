@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmlocus.arith import OrderDisc, ValidationError, psi
+from cmlocus.arith import OrderDisc, ValidationError, factorize, psi
 from cmlocus.fields import K, Q, embeds, field_degree, is_isomorphic, rcf_rel_degree
 from cmlocus.locus import (
     PrimeLocalDatum,
@@ -134,14 +136,10 @@ def test_fields_in_moduli_band():
         for M, N in [(1, 12), (2, 20), (1, 45), (3, 45), (2, 2), (4, 8)]:
             if N % M:
                 continue
-            from cmlocus.arith import factorize
-
             fac = factorize(N)
             primes = sorted(fac)
-            from itertools import product as iproduct
-
             per = [path_classes(order, ell, fac[ell]) for ell in primes]
-            for combo in iproduct(*per):
+            for combo in product(*per):
                 data = [
                     _datum(order, ell, _val(M, ell), fac[ell], cls)
                     for ell, cls in zip(primes, combo)
@@ -176,12 +174,50 @@ def test_data_validation():
     with pytest.raises(ValidationError):
         PrimeLocalDatum(5, 2, 1, 0, False, False, False)  # a' > a
     with pytest.raises(ValidationError):
-        residue_X0N(O4, [PrimeLocalDatum(5, 0, 1, 0, True, True, False)] * 2)
+        PrimeLocalDatum(2, 1, 3, 1, False, False, True)  # purely descending, d < a
+    loop5 = PrimeLocalDatum(5, 0, 1, 0, True, True, False)
+    with pytest.raises(ValidationError):
+        residue_X0N(O4, [loop5] * 2)
     with pytest.raises(ValidationError):
         fiber_X0MN(O4, 3, 4)
+    # the residue and count rules check their data against (M, N)
+    desc2 = PrimeLocalDatum(2, 1, 1, 1, False, False, True)
+    bad = [
+        (1, 7, [loop5]),  # level-7 curve from ell = 5 data
+        (2, 10, [loop5]),  # no datum for ell = 2
+        (1, 25, [loop5]),  # a = 1, but v_5(25) = 2
+        (1, 10, [desc2, loop5]),  # a' = 1, but v_2(1) = 0
+        (2, 2, [desc2, desc2]),  # one datum per prime
+        (1, 4, [PrimeLocalDatum(4, 0, 1, 1, False, False, True)]),  # composite ell
+    ]
+    for M, N, data in bad:
+        for call in (residue_X0MN, count_fiber_X0MN):
+            with pytest.raises(ValidationError):
+                call(O4, M, N, data)
+    for data in ([PrimeLocalDatum(4, 0, 1, 1, False, False, True)], [desc2]):
+        for call in (residue_X0N, count_fiber_X0N):
+            with pytest.raises(ValidationError):
+                call(O4, data)
     for ell, a_prime, a in ((4, 0, 2), (6, 1, 1)):  # composite ell
         with pytest.raises(ValidationError):
             primitive_prime_power(O4, ell, a_prime, a)
+
+
+def test_count_fiber_x0n_is_the_m1_rule():
+    for dK in (-3, -4):
+        for f in (1, 2, 3):
+            order = OrderDisc.from_parts(dK, f)
+            for N in range(2, 61):
+                fac = factorize(N)
+                per = [
+                    [_datum(order, ell, 0, a, cls) for cls in path_classes(order, ell, a)]
+                    for ell, a in sorted(fac.items())
+                ]
+                for data in product(*per):
+                    assert count_fiber_X0N(order, data) == (
+                        count_fiber_X0MN(order, 1, N, data),
+                        residue_X0MN(order, 1, N, data),
+                    )
 
 
 def _prime_powers(n):

@@ -1,7 +1,10 @@
+from hypothesis import given, settings, strategies as st
+
 from cmlocus.arith import OrderDisc, ValidationError
-from cmlocus.fields import field_degree, is_isomorphic
+from cmlocus.fields import field_degree, is_isomorphic, minimal_fields
 from cmlocus.locus import (
     enumerated_primitive_prime_power,
+    fiber_X0MN,
     primitive_prime_power,
     primitive_X0MN,
 )
@@ -100,3 +103,26 @@ def test_primitive_fields_are_fiber_minima():
                     assert any(embeds(p, c.field) for p in fields)
                 for p in fields:
                     assert any(is_isomorphic(p, c.field) for c in fiber.classes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((-3, -4)),
+    st.integers(1, 50),
+    st.integers(1, 5000),
+    st.integers(0, 10**6),
+)
+def test_primitive_is_the_fiber_minimum_property(dK, f, N, pick):
+    # over the accepted domain: the casework names exactly the minimal
+    # residue fields of the enumerated fiber, and the least degree
+    divisors = [m for m in range(1, N + 1) if N % m == 0]
+    M = divisors[pick % len(divisors)]
+    order = OrderDisc.from_parts(dK, f)
+    fields, degrees = primitive_X0MN(order, M, N)
+    classes = fiber_X0MN(order, M, N).classes
+
+    def names(syms):
+        return {(s.base, s.canonical_m()) for s in syms}
+
+    assert names(fields) == names(minimal_fields([c.field for c in classes]))
+    assert min(degrees) == min(field_degree(c.field) for c in classes)
