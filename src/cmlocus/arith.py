@@ -6,6 +6,7 @@ Everything here is plain integer arithmetic; no floats anywhere.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from math import gcd
 
 TRIAL_LIMIT = 10**12
@@ -121,12 +122,19 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of ``n`` >= 1 as {prime: exponent}.
 
     Trial division handles the bulk; Pollard rho takes over for large
-    semiprime cofactors (inputs past 10^24 are rejected outright).
+    semiprime cofactors (inputs past 10^24 are rejected outright).  The
+    result is a fresh dict, which the caller may mutate.
     """
     if n < 1:
         raise ValidationError(f"factorize expects n >= 1, got {n}")
     if n > FACTOR_LIMIT:
         raise ValidationError(f"n = {n} exceeds the factorization guard {FACTOR_LIMIT}")
+    return dict(_factor_items(n))
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _factor_items(n: int) -> tuple[tuple[int, int], ...]:
+    # (prime, exponent) pairs in the order found; factorize checks n first
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -152,7 +160,7 @@ def factorize(n: int) -> dict[int, int]:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return out
+    return tuple(out.items())
 
 
 def euler_phi(n: int) -> int:

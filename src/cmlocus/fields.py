@@ -39,7 +39,7 @@ def in_S(f: int, delta_K: int) -> bool:
     return f * f * delta_K in D_SET
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def rcf_rel_degree(delta_K: int, f: int) -> int:
     """d(f) = [K(f):K(1)] via the conductor formula."""
     if f <= 0:
@@ -55,7 +55,7 @@ def rcf_rel_degree(delta_K: int, f: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def canonical_conductor(delta_K: int, m: int) -> int:
     """Smallest divisor m0 | m with K(m0) = K(m) (equivalently equal degree).
 

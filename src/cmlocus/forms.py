@@ -40,13 +40,13 @@ def reduced_forms(delta: int) -> list[tuple[int, int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def class_number(delta: int) -> int:
     """h(delta) by exhaustive reduced-form enumeration."""
     return len(reduced_forms(delta))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def two_torsion_count(delta: int) -> int:
     """Order of Pic(O(delta))[2] by genus theory: 2^(mu - 1), where mu is
     the number of assigned characters of delta (Cox, *Primes of the Form

@@ -13,6 +13,7 @@ non-materializing counter lives in ``pathstats``.
 
 from collections import namedtuple
 from functools import lru_cache
+from types import MappingProxyType
 
 from .arith import ValidationError, _check_consistent, _check_prime, kronecker
 from .fields import check_delta_K, rcf_rel_degree, unit_count
@@ -53,7 +54,14 @@ class GeometricPoint(namedtuple("GeometricPoint", "paths e real")):
 
 
 class IsogenyGraph:
-    """Explicit truncated graph; built by :func:`build_graph`."""
+    """Explicit truncated graph; built by :func:`build_graph`.
+
+    The builders share each finished graph through their caches, so they
+    freeze it: tuples for its lists, read-only views for its dicts, and no
+    attribute may be rebound.
+    """
+
+    _frozen = False
 
     def __init__(self, delta_K, ell, f0, depth, doubled=False):
         self.delta_K = delta_K
@@ -68,6 +76,20 @@ class IsogenyGraph:
         self.conj_v: dict[Vertex, Vertex] = {}
         self.conj_e: dict[int, int] = {}
         self.surface_forms: list[tuple[int, int, int]] = []
+
+    def __setattr__(self, name, value):
+        if self._frozen:
+            raise AttributeError(f"a built IsogenyGraph is read-only; cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def _freeze(self) -> "IsogenyGraph":
+        self.level_counts = tuple(self.level_counts)
+        self.surface_forms = tuple(self.surface_forms)
+        self.out = MappingProxyType({v: tuple(es) for v, es in self.out.items()})
+        for name in ("edges", "dual", "conj_v", "conj_e"):
+            setattr(self, name, MappingProxyType(getattr(self, name)))
+        self._frozen = True
+        return self
 
     # -- basic queries -------------------------------------------------
 
@@ -107,7 +129,7 @@ class IsogenyGraph:
         return self.ell ** (2 * level) * self.f0 * self.f0 * self.delta_K
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def build_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
     """Build the truncated graph down to ``depth`` levels below the surface."""
     check_delta_K(delta_K)
@@ -129,7 +151,7 @@ def build_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
         _build_surface_suborder(g)
     _build_lower_levels(g)
     _mark_conjugation(g)
-    return g
+    return g._freeze()
 
 
 def _build_surface_max_order(g: IsogenyGraph):
@@ -391,7 +413,7 @@ def _mark_edge_conjugation(g: IsogenyGraph):
                     g.conj_e[e.eid] = target.eid
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def double_cover(delta_K, ell, f0, depth) -> IsogenyGraph:
     """Unwrap the surface loop of the (-4, 2, 1) / (-3, 3, 1) graphs."""
     if (delta_K, ell, f0) not in COVER_PARAMS:
@@ -437,7 +459,7 @@ def double_cover(delta_K, ell, f0, depth) -> IsogenyGraph:
             g.conj_e[ne.eid] = copies[(mate, copy)].eid
     g.conj_e[cross01.eid] = cross01.eid
     g.conj_e[cross10.eid] = cross10.eid
-    return g
+    return g._freeze()
 
 
 def conjugation_graph(delta_K, ell, f0, depth) -> IsogenyGraph:

@@ -8,6 +8,7 @@ two fields go through the compositum/tensor algebra.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 
@@ -277,6 +278,14 @@ def _combination(order: OrderDisc, M: int, data):
     return field_up, e_up, num // den
 
 
+@lru_cache(maxsize=2048, typed=True)
+def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
+    """One prime's rows (datum, multiplicity, path shape) of the fiber, one
+    per class of ``classes`` = path_classes(order, ell, a); the caller reads
+    that table itself, so each fiber reads each prime's table once."""
+    return tuple((_datum(order, ell, a_prime, a, cls), cls.count, cls.bhd) for cls in classes)
+
+
 def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
     """The full fiber of X0(M,N) -> X(1) over the CM point of ``order``."""
     _check_divides(M, N)
@@ -285,14 +294,9 @@ def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
         return FiberReport(M, N, order, (cls,), 1)
     fac = factorize(N)
     primes = sorted(fac)
-    a_primes = [valuation(M, ell) for ell in primes]
-    # each prime's rows (datum, multiplicity, path shape), built once
     per_prime = [
-        [
-            (_datum(order, ell, a_prime, fac[ell], cls), cls.count, cls.bhd)
-            for cls in path_classes(order, ell, fac[ell])
-        ]
-        for ell, a_prime in zip(primes, a_primes)
+        _prime_rows(order, ell, valuation(M, ell), fac[ell], path_classes(order, ell, fac[ell]))
+        for ell in primes
     ]
     base_degree = rcf_rel_degree(order.delta_K, order.f)
     merged: dict = {}

@@ -14,6 +14,7 @@ grouping into closed points.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .arith import OrderDisc, ValidationError, _check_consistent, _check_prime, kronecker, psi
 from .fields import K, Q, check_delta_K, field_degree, rcf_rel_degree
@@ -38,9 +39,14 @@ class PathClass(namedtuple("PathClass", "bhd field count type_tag")):
         return self.bhd[0] == 0 and self.bhd[1] == 0
 
 
-def path_classes(order: OrderDisc, ell: int, a: int) -> list[PathClass]:
+@lru_cache(maxsize=1024, typed=True)
+def path_classes(order: OrderDisc, ell: int, a: int) -> tuple[PathClass, ...]:
     """All closed point classes of X0(ell^a) -> X(1) over the CM point of
-    ``order``, for delta_K in {-3, -4}."""
+    ``order``, for delta_K in {-3, -4}.
+
+    Each table is built and checked against psi(ell^a) once per process and
+    then shared, hence a tuple; a rejected input raises on every call.
+    """
     check_delta_K(order.delta_K)
     _check_prime(ell)
     if a < 1:
@@ -99,7 +105,7 @@ def path_classes(order: OrderDisc, ell: int, a: int) -> list[PathClass]:
             f"table inconsistency at (dK={dK}, f={f}, l={ell}, a={a}): "
             f"sum e*d*count = {total} != psi = {psi(ell ** a)}"
         )
-    return out
+    return tuple(out)
 
 
 def _ell2_classes(dK: int, f: int, L: int, a: int, sym: int) -> list[PathClass]:

@@ -108,3 +108,10 @@ def test_order_disc_accessors():
     od = OrderDisc.from_parts(-3, 12)
     assert od.ell_valuation(2) == 2
     assert od.ell_valuation(3) == 1
+
+
+def test_factorize_returns_a_fresh_dict():
+    fac = factorize(12)
+    fac[2] = 99
+    fac[7] = 1
+    assert factorize(12) == {2: 2, 3: 1}

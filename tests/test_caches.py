@@ -1,0 +1,33 @@
+import importlib
+import pkgutil
+
+import cmlocus
+
+
+def _caches():
+    """Every function of a cmlocus module, public or private, that carries
+    an lru_cache, as {qualified name: function}."""
+    out = {}
+    for info in pkgutil.iter_modules(cmlocus.__path__):
+        mod = importlib.import_module(f"cmlocus.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
+                out[f"{info.name}.{name}"] = obj
+    return out
+
+
+def test_every_cache_is_bounded():
+    caches = _caches()
+    assert {
+        "arith._factor_items",
+        "tables.path_classes",
+        "locus._prime_rows",
+        "fields.rcf_rel_degree",
+        "fields.canonical_conductor",
+        "forms.class_number",
+        "forms.two_torsion_count",
+        "graph.build_graph",
+        "graph.double_cover",
+    } <= set(caches)
+    unbounded = [name for name, fn in caches.items() if fn.cache_info().maxsize is None]
+    assert unbounded == []

@@ -24,7 +24,7 @@ SWEEP = [
 
 def test_example_42_structure():
     g = build_graph(-4, 2, 1, 2)
-    assert g.level_counts == [1, 1, 2]
+    assert g.level_counts == (1, 1, 2)
     v0 = g.marked(0)
     assert len(g.out[v0]) == 3  # outward degree 3: loop + two descents
     assert sum(1 for e in g.out[v0] if e.kind == "horiz") == 1
@@ -197,6 +197,31 @@ def test_double_cover_same_enumeration_for_minus3():
         rb = Counter((p.bhd, base.path_real(p)) for p in pb)
         rc = Counter((p.bhd, cover.path_real(p)) for p in pc)
         assert rb == rc
+
+
+def test_cached_graphs_are_read_only():
+    g = build_graph(-4, 5, 1, 2)
+    v0 = g.marked(0)
+    with pytest.raises(TypeError):
+        g.level_counts[1] = 99
+    with pytest.raises(AttributeError):
+        g.out[v0].append(g.out[v0][0])
+    with pytest.raises(TypeError):
+        g.out[v0] = ()
+    with pytest.raises(TypeError):
+        g.conj_e[0] = 1
+    with pytest.raises(AttributeError):
+        g.level_counts = [1, 99, 10]
+    again = build_graph(-4, 5, 1, 2)
+    assert again is g
+    assert again.level_counts == (1, 2, 10)
+    assert len(again.out[v0]) == 6  # two loops and two bundles of two descents
+    cover = double_cover(-4, 2, 1, 2)
+    with pytest.raises(TypeError):
+        cover.dual[0] = 0
+    with pytest.raises(AttributeError):
+        cover.depth = 5
+    assert double_cover(-4, 2, 1, 2) is cover
 
 
 def test_double_cover_rejects_other_params():

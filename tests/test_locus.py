@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmlocus.arith import OrderDisc, ValidationError, factorize, psi
+from cmlocus.arith import OrderDisc, ValidationError, _factor_items, factorize, psi
 from cmlocus.fields import K, Q, embeds, field_degree, is_isomorphic, rcf_rel_degree
 from cmlocus.locus import (
     PrimeLocalDatum,
@@ -12,11 +12,13 @@ from cmlocus.locus import (
     fiber_X0MN,
     lift_residue_prime_power,
     moduli_bounds,
+    primitive_X0MN,
     primitive_prime_power,
     residue_X0MN,
     residue_X0N,
     x_nn_residue,
     _datum,
+    _prime_rows,
 )
 from cmlocus.tables import path_classes
 
@@ -120,6 +122,25 @@ def test_composite_totals_sweep():
                     r = fiber_X0MN(order, M, N)
                     assert r.psi_ok
                     assert all(c.count > 0 for c in r.classes)
+
+
+def test_cold_and_warm_caches_agree():
+    queries = [
+        (OrderDisc.from_parts(dK, f), M, N)
+        for dK in (-3, -4)
+        for f in range(1, 7)
+        for N in range(1, 97)
+        for M in range(1, N + 1)
+        if N % M == 0
+    ]
+    cold = []
+    for q in queries:
+        for cache in (path_classes, _prime_rows, _factor_items, rcf_rel_degree):
+            cache.cache_clear()
+        cold.append(repr((fiber_X0MN(*q), primitive_X0MN(*q))))
+    warm = [repr((fiber_X0MN(*q), primitive_X0MN(*q))) for q in queries]
+    assert path_classes.cache_info().hits > 0 and _prime_rows.cache_info().hits > 0
+    assert warm == cold
 
 
 def test_moduli_bounds():

@@ -89,3 +89,17 @@ def test_rejects_bad_inputs():
         closed_point_classes(order, 2, 0)
     with pytest.raises(ValidationError):
         closed_point_classes(OrderDisc.from_parts(-7, 1), 2, 1)
+
+
+def test_path_classes_are_a_shared_tuple():
+    order = OrderDisc.from_parts(-4, 3)
+    first = path_classes(order, 5, 2)
+    assert isinstance(first, tuple)
+    assert path_classes(order, 5, 2) is first
+
+
+def test_path_classes_rejections_are_not_cached():
+    order = OrderDisc.from_parts(-4, 1)
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            path_classes(order, 4, 2)
