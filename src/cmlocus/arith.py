@@ -24,9 +24,27 @@ def _check_consistent(ok: bool, message: str) -> None:
         raise AssertionError(message)
 
 
+def _check_int(*values) -> None:
+    # the one type guard of the public edge: each value must be an int
+    # proper, so a float, a bool or another int subclass is refused before
+    # an untyped cache can file 15.0 or True under the key of 15 or 1
+    for v in values:
+        if type(v) is not int:
+            raise ValidationError(f"expected an int, got {v!r}")
+
+
+def _check_power(ell: int, a: int) -> None:
+    # ell^a within FACTOR_LIMIT, the prime powers a level can hold; a huge
+    # exponent is refused before the power is formed
+    _check_int(ell, a)
+    if a > 0 and (a >= FACTOR_LIMIT.bit_length() or abs(ell) ** a > FACTOR_LIMIT):
+        raise ValidationError(f"{ell}^{a} exceeds the factorization guard {FACTOR_LIMIT}")
+
+
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), fully extended: n of either sign, with the
     usual supplementary rules at 2, -1 and 0."""
+    _check_int(a, n)
     if n == 0:
         return 1 if a in (1, -1) else 0
     result = 1
@@ -114,6 +132,7 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _check_prime(ell: int) -> None:
+    _check_int(ell)
     if not _is_probable_prime(ell):
         raise ValidationError(f"{ell} is not prime")
 
@@ -123,10 +142,11 @@ def factorize(n: int) -> dict[int, int]:
 
     Trial division handles the bulk; Pollard rho takes over for large
     semiprime cofactors (inputs past 10^24 are rejected outright).  The
-    result is a fresh dict, which the caller may mutate.
+    result is a fresh dict, which the caller may mutate.  The type test is
+    inline, as every level and conductor passes through here.
     """
-    if n < 1:
-        raise ValidationError(f"factorize expects n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"factorize expects an int n >= 1, got {n!r}")
     if n > FACTOR_LIMIT:
         raise ValidationError(f"n = {n} exceeds the factorization guard {FACTOR_LIMIT}")
     return dict(_factor_items(n))
@@ -209,6 +229,7 @@ def is_fundamental(d: int) -> bool:
 
 
 def _check_disc(delta: int) -> None:
+    _check_int(delta)
     if delta >= 0 or delta % 4 not in (0, 1):
         raise ValidationError(f"not an imaginary quadratic discriminant: {delta}")
 
@@ -230,6 +251,7 @@ class OrderDisc(namedtuple("OrderDisc", "delta delta_K f")):
 
     def __post_init__(self):
         _check_disc(self.delta)
+        _check_int(self.delta_K, self.f)
         if self.f <= 0 or self.f * self.f * self.delta_K != self.delta:
             raise ValidationError(
                 f"conductor mismatch: {self.f}^2 * {self.delta_K} != {self.delta}"

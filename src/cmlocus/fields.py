@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import ValidationError, _check_consistent, factorize, kronecker
+from .arith import ValidationError, _check_consistent, _check_int, factorize, kronecker
 
 RATIONAL = "Q"
 RING_CLASS = "K"
@@ -22,9 +22,10 @@ D_SET = (-3, -4, -12, -16, -27)
 
 def check_delta_K(delta_K: int) -> None:
     """The one domain guard: everything built on the casework for the two
-    class-number-one fields with extra units needs delta_K in {-3, -4}."""
-    if delta_K not in (-3, -4):
-        raise ValidationError(f"delta_K must be -3 or -4, got {delta_K}")
+    class-number-one fields with extra units needs delta_K in {-3, -4};
+    the type test is inline, as every FieldSymbol runs it."""
+    if type(delta_K) is not int or delta_K not in (-3, -4):
+        raise ValidationError(f"delta_K must be -3 or -4, got {delta_K!r}")
 
 
 def unit_count(delta_K: int) -> int:
@@ -36,12 +37,14 @@ def unit_count(delta_K: int) -> int:
 def in_S(f: int, delta_K: int) -> bool:
     """True iff f^2 * delta_K lies in the class-number-one set D."""
     check_delta_K(delta_K)
+    _check_int(f)
     return f * f * delta_K in D_SET
 
 
 @lru_cache(maxsize=2048)
 def rcf_rel_degree(delta_K: int, f: int) -> int:
     """d(f) = [K(f):K(1)] via the conductor formula."""
+    _check_int(delta_K, f)
     if f <= 0:
         raise ValidationError(f"conductor must be positive, got {f}")
     check_delta_K(delta_K)
@@ -62,6 +65,7 @@ def canonical_conductor(delta_K: int, m: int) -> int:
     Subsumes the S-collapse: any conductor whose order has class number one
     canonicalizes to 1.
     """
+    _check_int(delta_K, m)
     d = rcf_rel_degree(delta_K, m)
     best = m
     for p in factorize(m):
@@ -94,8 +98,8 @@ class FieldSymbol(namedtuple("FieldSymbol", "base m delta_K")):
     def __post_init__(self):
         if self.base not in (RATIONAL, RING_CLASS):
             raise ValidationError(f"bad base {self.base!r}")
-        if self.m <= 0:
-            raise ValidationError(f"conductor must be positive, got {self.m}")
+        if type(self.m) is not int or self.m <= 0:
+            raise ValidationError(f"conductor must be a positive int, got {self.m!r}")
         check_delta_K(self.delta_K)
 
     @property

@@ -15,7 +15,7 @@ from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
-from .arith import ValidationError, _check_consistent, _check_prime, kronecker
+from .arith import ValidationError, _check_consistent, _check_int, _check_prime, kronecker
 from .fields import check_delta_K, rcf_rel_degree, unit_count
 from .forms import (
     compose,
@@ -134,6 +134,7 @@ def build_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
     """Build the truncated graph down to ``depth`` levels below the surface."""
     check_delta_K(delta_K)
     _check_prime(ell)
+    _check_int(f0, depth)
     if f0 % ell == 0:
         raise ValidationError("f0 must be coprime to ell")
     if depth < 1:
@@ -476,6 +477,9 @@ VERTEX_LIMIT = 1_000_000  # vertices one build_graph may materialize
 def enumerate_paths(graph: IsogenyGraph, start_level: int, a: int,
                     limit: int = PATH_LIMIT) -> list[GraphPath]:
     """All nonbacktracking length-``a`` paths from the marked vertex."""
+    _check_int(start_level, a, limit)
+    if start_level < 0 or a < 0:
+        raise ValidationError("need start_level >= 0 and a >= 0")
     if start_level + a > graph.depth:
         raise ValidationError("graph too shallow for this enumeration")
     out: list[GraphPath] = []

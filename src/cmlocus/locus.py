@@ -16,6 +16,8 @@ from .arith import (
     OrderDisc,
     ValidationError,
     _check_consistent,
+    _check_int,
+    _check_power,
     _check_prime,
     euler_phi,
     factorize,
@@ -72,8 +74,10 @@ class PrimeLocalDatum(namedtuple("PrimeLocalDatum", "ell a_prime a descents cont
         return cls(*iterable)
 
     def __post_init__(self):
+        _check_int(self.a_prime, self.descents, self.horizontal)
         if not 0 <= self.a_prime <= self.a:
             raise ValidationError("need 0 <= a' <= a")
+        _check_power(self.ell, self.a)
         if self.descents > self.a:
             raise ValidationError("descending count exceeds path length")
         if self.purely_descending and self.descents != self.a:
@@ -200,6 +204,7 @@ def _level_of(data) -> int:
 
 
 def _check_divides(M, N):
+    _check_int(M, N)
     if M < 1 or N < 1 or N % M != 0:
         raise ValidationError(f"need M | N, got M={M}, N={N}")
 
@@ -280,10 +285,67 @@ def _combination(order: OrderDisc, M: int, data):
 
 @lru_cache(maxsize=2048, typed=True)
 def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
-    """One prime's rows (datum, multiplicity, path shape) of the fiber, one
-    per class of ``classes`` = path_classes(order, ell, a); the caller reads
-    that table itself, so each fiber reads each prime's table once."""
-    return tuple((_datum(order, ell, a_prime, a, cls), cls.count, cls.bhd) for cls in classes)
+    """One prime's rows of the fiber, one per class of ``classes`` =
+    path_classes(order, ell, a); the caller reads that table itself, so each
+    fiber reads each prime's table once.
+
+    A row is the class's local contribution as plain integers: (multiplicity,
+    path shape, downstairs conductor factor, its K flag, lifted conductor
+    factor, its K flag, contains_K, descends, and the "a = 1 or purely
+    descending" flag of the M = 2, delta = -4 rule).  Over a maximal order the
+    factors are ell^descents with split_surface_edge, and ell^max(a', descents)
+    with K (the X0(M,N) rule for M >= 2); for f > 1 they are the conductors of
+    ``_combined_field``'s downstairs field and of its lift.
+    """
+    f, dK = order.f, order.delta_K
+    rows = []
+    for cls in classes:
+        d = _datum(order, ell, a_prime, a, cls)
+        if f == 1:
+            down = (ell**d.descents, d.split_surface_edge)
+            up = (ell ** max(a_prime, d.descents), True)
+        else:
+            field = FieldSymbol("K" if d.contains_K else "Q", ell**d.field_exp * f, dK)
+            lifted = lift_residue_prime_power(order, d, field)
+            down = (field.m, field.contains_K)
+            up = (lifted.m, lifted.contains_K)
+        rows.append((cls.count, cls.bhd, *down, *up, d.contains_K, d.descents > 0,
+                     a == 1 or d.purely_descending))
+    return tuple(rows)
+
+
+def _folds(order: OrderDisc, M: int, per_prime):
+    """((field, d, e, tag), count, multiplicity) of each combination of the
+    per-prime rows, in ``product`` order: the rule of ``_combination`` folded
+    on integers, with one FieldSymbol downstairs and, for M != 1, one upstairs.
+
+    The conductor factors of a maximal order are coprime prime powers, so
+    ``lcm`` from f is their product there.
+    """
+    f, dK = order.f, order.delta_K
+    base_degree = rcf_rel_degree(dK, f)
+    w2 = unit_count(dK) // 2 if f == 1 else 1
+    scale = M * euler_phi(M)
+    two_rule = M == 2 and order.delta == -4  # the ell = 2 rows come first
+    single = len(per_prime) == 1
+    for combo in product(*per_prime):
+        counts, tags, m_down, k_down, m_up, k_up, has_K, descends, two = zip(*combo)
+        down = FieldSymbol("K" if any(k_down) else "Q", lcm(f, *m_down), dK)
+        e_down = w2 if any(descends) else 1
+        if M == 1:
+            up, e_up = down, e_down
+        else:
+            if two_rule and two[0]:
+                k_up = has_K[1:]
+            up, e_up = FieldSymbol("K" if any(k_up) else "Q", lcm(f, *m_up), dK), w2
+        deg_up = field_degree(up)
+        s = sum(has_K)
+        num = 2 ** max(s - 1, 0) * scale * e_down * field_degree(down)
+        den = e_up * deg_up
+        if num % den != 0:
+            raise ValidationError("non-integral point count: inconsistent data")
+        key = (up, deg_up // base_degree, e_up, tags[0] if single else None)
+        yield key, num // den, prod(counts)
 
 
 def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
@@ -293,21 +355,12 @@ def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
         cls = ClosedPointClass(Q(order.f, order.delta_K), 1, 1, 1, (0, 0, 0))
         return FiberReport(M, N, order, (cls,), 1)
     fac = factorize(N)
-    primes = sorted(fac)
     per_prime = [
         _prime_rows(order, ell, valuation(M, ell), fac[ell], path_classes(order, ell, fac[ell]))
-        for ell in primes
+        for ell in sorted(fac)
     ]
-    base_degree = rcf_rel_degree(order.delta_K, order.f)
     merged: dict = {}
-    single = len(primes) == 1
-    for combo in product(*per_prime):
-        data = [row[0] for row in combo]
-        mult = prod(row[1] for row in combo)
-        field, e, count = _combination(order, M, data)
-        d = field_degree(field) // base_degree
-        tag = combo[0][2] if single else None
-        key = (field, d, e, tag)
+    for key, count, mult in _folds(order, M, per_prime):
         merged[key] = merged.get(key, 0) + count * mult
     classes = tuple(
         sorted(
@@ -341,9 +394,17 @@ def enumerated_primitive_prime_power(order: OrderDisc, ell: int, a_prime: int, a
 
 def primitive_prime_power(order: OrderDisc, ell: int, a_prime: int, a: int):
     """Primitive residue fields of CM points on X0(ell^a', ell^a)."""
+    _check_int(a_prime)
+    _check_power(ell, a)
     if not 0 <= a_prime <= a or ell**a < 2:
         raise ValidationError("need 0 <= a' <= a and ell^a >= 2")
     _check_prime(ell)
+    return _primitive_local(order, ell, a_prime, a)
+
+
+def _primitive_local(order: OrderDisc, ell: int, a_prime: int, a: int):
+    # the unchecked core of primitive_prime_power: ell^a is a prime power
+    # of a level that passed factorize
     dK, f, delta = order.delta_K, order.f, order.delta
     L = order.ell_valuation(ell)
     if a_prime == 0:
@@ -444,7 +505,7 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
     fac = factorize(N)
     primes = sorted(fac)
     locals_ = [
-        primitive_prime_power(order, ell, valuation(M, ell), fac[ell]) for ell in primes
+        _primitive_local(order, ell, valuation(M, ell), fac[ell]) for ell in primes
     ]
     rational_branch = M == 1 or (M == 2 and order.delta % 2 == 0)
     if rational_branch:
@@ -520,5 +581,6 @@ def moduli_bounds(delta_K: int, exponents: dict[int, int]):
     """Sandwich (Q(prod l^b), K(prod l^b)) for a field of moduli."""
     m = 1
     for ell, b in exponents.items():
+        _check_power(ell, b)
         m *= ell**b
     return (Q(m, delta_K), K(m, delta_K))

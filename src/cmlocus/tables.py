@@ -16,7 +16,15 @@ grouping into closed points.
 from collections import namedtuple
 from functools import lru_cache
 
-from .arith import OrderDisc, ValidationError, _check_consistent, _check_prime, kronecker, psi
+from .arith import (
+    OrderDisc,
+    ValidationError,
+    _check_consistent,
+    _check_power,
+    _check_prime,
+    kronecker,
+    psi,
+)
 from .fields import K, Q, check_delta_K, field_degree, rcf_rel_degree
 
 
@@ -49,6 +57,7 @@ def path_classes(order: OrderDisc, ell: int, a: int) -> tuple[PathClass, ...]:
     """
     check_delta_K(order.delta_K)
     _check_prime(ell)
+    _check_power(ell, a)
     if a < 1:
         raise ValidationError("a must be >= 1")
     dK = order.delta_K

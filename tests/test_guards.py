@@ -1,0 +1,179 @@
+"""The type guard of the public edge: every entry point that `cmlocus`
+exports, and `factorize` and `canonical_conductor` behind them, answers a
+float, a bool or an int beyond FACTOR_LIMIT with a ValidationError or with
+the answer it gives the plain int, and a refused argument never poisons a
+cache."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cmlocus
+from cmlocus import (
+    K,
+    OrderDisc,
+    PrimeLocalDatum,
+    build_graph,
+    class_number,
+    closed_point_classes,
+    compose_rcf,
+    conjugation_graph,
+    count_fiber_X0MN,
+    count_fiber_X0N,
+    double_cover,
+    enumerate_paths,
+    euler_phi,
+    fiber_X0MN,
+    field_degree,
+    in_S,
+    kronecker,
+    lift_residue_prime_power,
+    moduli_bounds,
+    primitive_prime_power,
+    primitive_X0MN,
+    psi,
+    rcf_rel_degree,
+    reduced_forms,
+    residue_X0MN,
+    residue_X0N,
+    split_discriminant,
+    tensor_rcf,
+    two_torsion_count,
+    x1_fiber,
+    x_nn_residue,
+)
+from cmlocus.arith import FACTOR_LIMIT, ValidationError, factorize
+from cmlocus.fields import canonical_conductor
+
+
+def _order(dK, f):
+    return OrderDisc.from_parts(dK, f)
+
+
+def _datum(ell, a_prime, a, descents):
+    return PrimeLocalDatum(ell, a_prime, a, descents, False, False, descents == a)
+
+
+# name -> (call, the int arguments that call answers); each argument in turn
+# is replaced by a float, a bool or a huge int
+CASES = {
+    "kronecker": (kronecker, (-4, 15)),
+    "euler_phi": (euler_phi, (14,)),
+    "psi": (psi, (14,)),
+    "factorize": (factorize, (14,)),
+    "split_discriminant": (split_discriminant, (-36,)),
+    "OrderDisc": (OrderDisc, (-36, -4, 3)),
+    "OrderDisc.from_parts": (OrderDisc.from_parts, (-4, 2)),
+    "K": (K, (6, -3)),
+    "Q": (cmlocus.Q, (6, -3)),
+    "in_S": (in_S, (2, -3)),
+    "field_degree": (lambda m, dK: field_degree(K(m, dK)), (15, -4)),
+    "rcf_rel_degree": (rcf_rel_degree, (-4, 15)),
+    "canonical_conductor": (canonical_conductor, (-4, 6)),
+    "compose_rcf": (lambda m1, m2: compose_rcf([K(m1, -3), K(m2, -3)]), (2, 3)),
+    "tensor_rcf": (lambda base: tensor_rcf(K(6, -3), K(10, -3), base), (2,)),
+    "class_number": (class_number, (-84,)),
+    "reduced_forms": (reduced_forms, (-84,)),
+    "two_torsion_count": (two_torsion_count, (-84,)),
+    "build_graph": (build_graph, (-4, 5, 1, 2)),
+    "double_cover": (double_cover, (-4, 2, 1, 2)),
+    "conjugation_graph": (conjugation_graph, (-3, 3, 1, 2)),
+    "enumerate_paths": (lambda s, a: enumerate_paths(build_graph(-4, 5, 1, 3), s, a), (0, 2)),
+    "closed_point_classes": (lambda f, ell, a: closed_point_classes(_order(-4, f), ell, a),
+                             (3, 5, 2)),
+    "primitive_prime_power": (
+        lambda f, ell, ap, a: primitive_prime_power(_order(-4, f), ell, ap, a), (3, 5, 1, 2)
+    ),
+    "PrimeLocalDatum": (_datum, (2, 1, 2, 2)),
+    "lift_residue_prime_power": (
+        lambda ell, ap, a, d: lift_residue_prime_power(_order(-4, 1), _datum(ell, ap, a, d),
+                                                       cmlocus.Q(4, -4)),
+        (2, 1, 2, 2),
+    ),
+    "residue_X0N": (lambda ell, a: residue_X0N(_order(-4, 1), [_datum(ell, 0, a, a)]), (2, 2)),
+    "count_fiber_X0N": (lambda ell, a: count_fiber_X0N(_order(-4, 1), [_datum(ell, 0, a, a)]),
+                        (2, 2)),
+    "residue_X0MN": (lambda M, N: residue_X0MN(_order(-4, 1), M, N, [_datum(2, 1, 3, 3)]),
+                     (2, 8)),
+    "count_fiber_X0MN": (
+        lambda M, N: count_fiber_X0MN(_order(-4, 1), M, N, [_datum(2, 1, 3, 3)]), (2, 8)
+    ),
+    "fiber_X0MN": (lambda dK, f, M, N: fiber_X0MN(_order(dK, f), M, N), (-4, 3, 2, 10)),
+    "primitive_X0MN": (lambda dK, f, M, N: primitive_X0MN(_order(dK, f), M, N), (-3, 2, 3, 45)),
+    "x1_fiber": (lambda dK, f, M, N: x1_fiber(_order(dK, f), M, N), (-4, 1, 1, 10)),
+    "x_nn_residue": (lambda dK, f, N: x_nn_residue(_order(dK, f), N), (-4, 3, 6)),
+    "moduli_bounds": (lambda ell, b: moduli_bounds(-4, {ell: b}), (5, 2)),
+}
+
+HUGE = (FACTOR_LIMIT + 1, 2**100 + 1, 10**30, -(10**30))
+
+
+def _answer(call, args):
+    try:
+        return repr(call(*args))
+    except ValidationError:
+        return ValidationError
+
+
+def test_every_exported_integer_entry_point_is_covered():
+    exported = {name for name in cmlocus.__all__ if callable(getattr(cmlocus, name))}
+    records = {"ClosedPointClass", "CompositumResult", "FiberReport", "FieldSymbol",
+               "GraphPath", "IsogenyGraph"}  # no integer preconditions, or built via K/Q
+    graph_only = {"geometric_points", "to_dot"}  # take a built graph, no integers
+    assert exported - records - graph_only <= set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=30, deadline=None)
+@given(pos=st.integers(0, 9), kind=st.sampled_from(("float", "half", "bool", "huge")),
+       huge=st.sampled_from(HUGE))
+def test_non_ints_are_refused_or_answered_as_ints(name, pos, kind, huge):
+    call, args = CASES[name]
+    pos %= len(args)
+    x = args[pos]
+    want = _answer(call, args)
+    assert want is not ValidationError
+    if kind == "float":
+        bad, as_int = float(x), x
+    elif kind == "half":
+        bad, as_int = x + 0.5, None
+    elif kind == "bool":
+        bad = x % 2 == 1
+        as_int = int(bad)
+    else:
+        bad, as_int = huge, None
+    bad_args = args[:pos] + (bad,) + args[pos + 1:]
+    got = _answer(call, bad_args)
+    if got is not ValidationError and kind != "huge":
+        # accepted: it must be exactly the answer of the int it stands for
+        assert as_int is not None, (name, bad_args, got)
+        assert got == _answer(call, args[:pos] + (as_int,) + args[pos + 1:]), (name, bad_args)
+    # whatever the guard did, the int arguments still get the int answer
+    assert _answer(call, args) == want
+
+
+def test_float_never_poisons_an_untyped_cache():
+    for fn, args in (
+        (rcf_rel_degree, (-4, 15)),
+        (canonical_conductor, (-4, 6)),
+        (class_number, (-84,)),
+        (two_torsion_count, (-84,)),
+    ):
+        fn.cache_clear()
+        with pytest.raises(ValidationError):
+            fn(*(float(v) for v in args))
+        assert fn.cache_info().currsize == 0
+        assert type(fn(*args)) is int
+    assert rcf_rel_degree(-4, 15) == 8 and type(rcf_rel_degree(-4, 15)) is int
+
+
+def test_the_reported_holes_are_closed():
+    with pytest.raises(ValidationError):
+        factorize(14.0)
+    with pytest.raises(ValidationError):
+        OrderDisc.from_parts(-4, 2.0)
+    with pytest.raises(ValidationError):
+        fiber_X0MN(_order(-4, 1), 1, 10.0)
+    with pytest.raises(ValidationError):
+        fiber_X0MN(_order(-4, 1), True, 10)
+    with pytest.raises(ValidationError):
+        primitive_prime_power(_order(-4, 1), 2, 1, 10**30)  # refused before 2^(10^30)

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -16,8 +17,11 @@ from cmlocus.locus import (
     primitive_prime_power,
     residue_X0MN,
     residue_X0N,
+    x1_fiber,
     x_nn_residue,
+    _combination,
     _datum,
+    _folds,
     _prime_rows,
 )
 from cmlocus.tables import path_classes
@@ -283,3 +287,51 @@ def test_psi_identity_property(dK, f, N, pick):
         assert c.e in (1, w_K // 2)
         total += c.e * c.d * c.count
     assert total == _psi_phi(N)[0] * M * _psi_phi(M)[1]
+
+
+def test_integer_fold_matches_the_symbol_route():
+    # every combination the fiber loop folds on integers gives the (field,
+    # e, count) that _combination computes from the same classes' data
+    branches = {"M = 2, delta = -4": 0, "f > 1 lifted": 0, "f > 1 lifted at 2": 0}
+    for dK in (-3, -4):
+        for f in range(1, 7):
+            order = OrderDisc.from_parts(dK, f)
+            base_degree = rcf_rel_degree(dK, f)
+            for N in range(2, 61):
+                fac = factorize(N)
+                for M in (m for m in range(1, N + 1) if N % m == 0):
+                    per_prime, per_data = [], []
+                    for ell, a in sorted(fac.items()):
+                        classes = path_classes(order, ell, a)
+                        per_prime.append(_prime_rows(order, ell, _val(M, ell), a, classes))
+                        per_data.append([_datum(order, ell, _val(M, ell), a, c) for c in classes])
+                    folds = list(_folds(order, M, per_prime))
+                    combos = list(product(*per_data))
+                    assert len(folds) == len(combos)
+                    for ((field, d, e, _), count, _), data in zip(folds, combos):
+                        assert (field, e, count) == _combination(order, M, list(data))
+                        assert d * base_degree == field_degree(field)
+                        if M == 2 and order.delta == -4:
+                            two = data[0]
+                            branches["M = 2, delta = -4"] += two.a == 1 or two.purely_descending
+                        if f > 1 and M > 1:
+                            branches["f > 1 lifted"] += 1
+                            branches["f > 1 lifted at 2"] += M % 2 == 0
+    assert all(n > 0 for n in branches.values()), branches
+
+
+def test_fiber_sweep_grid_is_pinned():
+    # SHA-256 of the reports over the benchmark's fiber_sweep grid, as the
+    # FieldSymbol fiber loop printed them; any change to a field, degree,
+    # count, class order or path shape shows here
+    h = hashlib.sha256()
+    for dK in (-3, -4):
+        for f in range(1, 7):
+            order = OrderDisc.from_parts(dK, f)
+            for N in range(1, 97):
+                for M in range(1, N + 1):
+                    if N % M == 0:
+                        reports = (fiber_X0MN(order, M, N), primitive_X0MN(order, M, N),
+                                   x1_fiber(order, M, N))
+                        h.update(repr(reports).encode())
+    assert h.hexdigest() == "ab6b28b32ed65f34ec62654d30840187498572328609fe1411817b9d6388a71c"
