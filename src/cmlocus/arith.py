@@ -142,14 +142,20 @@ def factorize(n: int) -> dict[int, int]:
 
     Trial division handles the bulk; Pollard rho takes over for large
     semiprime cofactors (inputs past 10^24 are rejected outright).  The
-    result is a fresh dict, which the caller may mutate.  The type test is
-    inline, as every level and conductor passes through here.
+    result is a fresh dict, which the caller may mutate.
     """
+    return dict(_factor_pairs(n))
+
+
+def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    # the guard of factorize, euler_phi and psi, then the cached pairs,
+    # shared rather than copied; the type test is inline, as every level
+    # and conductor passes through here
     if type(n) is not int or n < 1:
-        raise ValidationError(f"factorize expects an int n >= 1, got {n!r}")
+        raise ValidationError(f"expected an int n >= 1, got {n!r}")
     if n > FACTOR_LIMIT:
         raise ValidationError(f"n = {n} exceeds the factorization guard {FACTOR_LIMIT}")
-    return dict(_factor_items(n))
+    return _factor_items(n)
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -185,20 +191,16 @@ def _factor_items(n: int) -> tuple[tuple[int, int], ...]:
 
 def euler_phi(n: int) -> int:
     """Euler totient."""
-    if n < 1:
-        raise ValidationError(f"phi expects n >= 1, got {n}")
     result = n
-    for p in factorize(n):
+    for p, _ in _factor_pairs(n):
         result = result // p * (p - 1)
     return result
 
 
 def psi(n: int) -> int:
     """Degree of X0(n) -> X(1): multiplicative with psi(l^a) = l^(a-1)(l+1)."""
-    if n < 1:
-        raise ValidationError(f"psi expects n >= 1, got {n}")
     result = 1
-    for p, e in factorize(n).items():
+    for p, e in _factor_pairs(n):
         result *= p ** (e - 1) * (p + 1)
     return result
 

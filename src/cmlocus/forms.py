@@ -10,7 +10,14 @@ graph, comes from genus theory and needs only a factorization of delta.
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import ValidationError, _check_consistent, _check_disc, factorize
+from .arith import (
+    ValidationError,
+    _check_consistent,
+    _check_disc,
+    _check_int,
+    _check_prime,
+    factorize,
+)
 
 DISC_CAP = 10**7  # census guard; O(|delta|) enumeration beyond this is refused
 
@@ -63,9 +70,27 @@ def two_torsion_count(delta: int) -> int:
     return 2 ** (mu - 1)
 
 
+def _check_form(form, delta=None) -> None:
+    # a positive definite form (a, b, c) of ints, of discriminant ``delta``
+    # when one is given; reduction would never end on an indefinite form
+    if not isinstance(form, tuple) or len(form) != 3:
+        raise ValidationError(f"a form is a tuple (a, b, c), got {form!r}")
+    _check_int(*form)
+    a, b, c = form
+    disc = b * b - 4 * a * c
+    if a <= 0 or disc >= 0:
+        raise ValidationError(f"not a positive definite form: {form!r}")
+    if delta is not None and disc != delta:
+        raise ValidationError(f"{form!r} does not have discriminant {delta}")
+
+
 def reduce_form(form: tuple[int, int, int]) -> tuple[int, int, int]:
     """Gauss reduction of a positive definite form."""
-    a, b, c = form
+    _check_form(form)
+    return _reduce(*form)
+
+
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
     while True:
         if -a < b <= a <= c:
             if a == c and b < 0:
@@ -85,8 +110,9 @@ def principal_form(delta: int) -> tuple[int, int, int]:
 
 
 def inverse_form(form: tuple[int, int, int]) -> tuple[int, int, int]:
+    _check_form(form)
     a, b, c = form
-    return reduce_form((a, -b, c))
+    return _reduce(a, -b, c)
 
 
 def _ext_gcd(x, y):
@@ -99,6 +125,14 @@ def _ext_gcd(x, y):
 def compose(f1, f2, delta: int) -> tuple[int, int, int]:
     """Gaussian composition of primitive forms of discriminant ``delta``
     (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 5.4.7)."""
+    _check_disc(delta)
+    _check_form(f1, delta)
+    _check_form(f2, delta)
+    return _compose(f1, f2, delta)
+
+
+def _compose(f1, f2, delta: int) -> tuple[int, int, int]:
+    # the unchecked core of compose: two forms of discriminant delta
     a1, b1, _ = f1
     a2, b2, c2 = f2
     s = (b1 + b2) // 2
@@ -110,19 +144,20 @@ def compose(f1, f2, delta: int) -> tuple[int, int, int]:
     b3 = b2 + 2 * v2 * r
     a3 = v1 * v2
     _check_consistent((b3 * b3 - delta) % (4 * a3) == 0, "composition left a non-integral c")
-    return reduce_form((a3, b3, (b3 * b3 - delta) // (4 * a3)))
+    return _reduce(a3, b3, (b3 * b3 - delta) // (4 * a3))
 
 
 def form_pow(form, k: int, delta: int) -> tuple[int, int, int]:
+    _check_int(k)
     result = principal_form(delta)
-    base = reduce_form(form)
-    if k < 0:
-        base = inverse_form(base)
-        k = -k
+    _check_form(form, delta)
+    a, b, c = form
+    base = _reduce(a, -b if k < 0 else b, c)
+    k = abs(k)
     while k:
         if k & 1:
-            result = compose(result, base, delta)
-        base = compose(base, base, delta)
+            result = _compose(result, base, delta)
+        base = _compose(base, base, delta)
         k >>= 1
     return result
 
@@ -131,24 +166,27 @@ def prime_form(delta: int, ell: int) -> tuple[int, int, int]:
     """A reduced form of leading coefficient ``ell`` (the class of a prime
     ideal above a non-inert prime ell)."""
     _check_disc(delta)
+    _check_prime(ell)
     for b in range(2 * ell):
         if (b * b - delta) % (4 * ell) == 0:
-            return reduce_form((ell, b, (b * b - delta) // (4 * ell)))
+            return _reduce(ell, b, (b * b - delta) // (4 * ell))
     raise ValidationError(f"{ell} is inert in discriminant {delta}")
 
 
 def is_ambiguous(form: tuple[int, int, int]) -> bool:
-    a, b, c = reduce_form(form)
+    _check_form(form)
+    a, b, c = _reduce(*form)
     return b == 0 or a == b or a == c
 
 
 def class_group_order_of(form, delta: int) -> int:
     """Order of a form class in Pic(O(delta)) by iterated composition."""
     one = principal_form(delta)
-    cur = reduce_form(form)
+    _check_form(form, delta)
+    cur = _reduce(*form)
     n = 1
     while cur != one:
-        cur = compose(cur, form, delta)
+        cur = _compose(cur, form, delta)
         n += 1
         if n > 4 * class_number(delta):
             raise AssertionError("runaway order computation")

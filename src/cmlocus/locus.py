@@ -315,44 +315,45 @@ def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
 
 
 def _folds(order: OrderDisc, M: int, per_prime):
-    """((field, d, e, tag), count, multiplicity) of each combination of the
-    per-prime rows, in ``product`` order: the rule of ``_combination`` folded
-    on integers, with one FieldSymbol downstairs and, for M != 1, one upstairs.
+    """((contains_K, m, e, tag), count, multiplicity) of each combination of
+    the per-prime rows, in ``product`` order: the rule of ``_combination``
+    folded on integers, with each field kept as its K flag and conductor m
+    and its degree read as d(m) = rcf_rel_degree(delta_K, m), doubled for K.
 
     The conductor factors of a maximal order are coprime prime powers, so
     ``lcm`` from f is their product there.
     """
     f, dK = order.f, order.delta_K
-    base_degree = rcf_rel_degree(dK, f)
     w2 = unit_count(dK) // 2 if f == 1 else 1
     scale = M * euler_phi(M)
     two_rule = M == 2 and order.delta == -4  # the ell = 2 rows come first
     single = len(per_prime) == 1
     for combo in product(*per_prime):
         counts, tags, m_down, k_down, m_up, k_up, has_K, descends, two = zip(*combo)
-        down = FieldSymbol("K" if any(k_down) else "Q", lcm(f, *m_down), dK)
+        k_down, m_down = any(k_down), lcm(f, *m_down)
+        deg_down = rcf_rel_degree(dK, m_down) * (2 if k_down else 1)
         e_down = w2 if any(descends) else 1
         if M == 1:
-            up, e_up = down, e_down
+            k_up, m_up, deg_up, e_up = k_down, m_down, deg_down, e_down
         else:
             if two_rule and two[0]:
                 k_up = has_K[1:]
-            up, e_up = FieldSymbol("K" if any(k_up) else "Q", lcm(f, *m_up), dK), w2
-        deg_up = field_degree(up)
+            k_up, m_up = any(k_up), lcm(f, *m_up)
+            deg_up, e_up = rcf_rel_degree(dK, m_up) * (2 if k_up else 1), w2
         s = sum(has_K)
-        num = 2 ** max(s - 1, 0) * scale * e_down * field_degree(down)
+        num = 2 ** max(s - 1, 0) * scale * e_down * deg_down
         den = e_up * deg_up
         if num % den != 0:
             raise ValidationError("non-integral point count: inconsistent data")
-        key = (up, deg_up // base_degree, e_up, tags[0] if single else None)
-        yield key, num // den, prod(counts)
+        yield (k_up, m_up, e_up, tags[0] if single else None), num // den, prod(counts)
 
 
 def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
     """The full fiber of X0(M,N) -> X(1) over the CM point of ``order``."""
     _check_divides(M, N)
+    f, dK = order.f, order.delta_K
     if N == 1:
-        cls = ClosedPointClass(Q(order.f, order.delta_K), 1, 1, 1, (0, 0, 0))
+        cls = ClosedPointClass(Q(f, dK), 1, 1, 1, (0, 0, 0))
         return FiberReport(M, N, order, (cls,), 1)
     fac = factorize(N)
     per_prime = [
@@ -362,12 +363,13 @@ def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
     merged: dict = {}
     for key, count, mult in _folds(order, M, per_prime):
         merged[key] = merged.get(key, 0) + count * mult
-    classes = tuple(
-        sorted(
-            (ClosedPointClass(f, d, e, c, tag) for (f, d, e, tag), c in merged.items()),
-            key=_class_key,
-        )
-    )
+    # one FieldSymbol and one relative degree per merged class
+    base_degree = rcf_rel_degree(dK, f)
+    out = []
+    for (has_K, m, e, tag), count in merged.items():
+        field = FieldSymbol("K" if has_K else "Q", m, dK)
+        out.append(ClosedPointClass(field, field_degree(field) // base_degree, e, count, tag))
+    classes = tuple(sorted(out, key=_class_key))
     total = sum(c.e * c.d * c.count for c in classes)
     report = FiberReport(M, N, order, classes, total)
     if not report.psi_ok:
@@ -495,6 +497,23 @@ def _split_deep_level(order: OrderDisc, ell: int, a: int) -> bool:
     )
 
 
+@lru_cache(maxsize=2048, typed=True)
+def _primitive_row(order: OrderDisc, ell: int, a_prime: int, a: int):
+    """One prime's primitive casework as integers: the ell-exponents, over
+    the conductor f, of the first rational and of the first K field that
+    ``_primitive_local`` lists (None where it lists none), and
+    ``_split_deep_level``."""
+    L = order.ell_valuation(ell)
+    fields = _primitive_local(order, ell, a_prime, a)
+    rational = [valuation(g.m, ell) - L for g in fields if not g.contains_K]
+    others = [valuation(g.m, ell) - L for g in fields if g.contains_K]
+    return (
+        rational[0] if rational else None,
+        others[0] if others else None,
+        _split_deep_level(order, ell, a),
+    )
+
+
 def primitive_X0MN(order: OrderDisc, M: int, N: int):
     """Primitive residue fields and primitive degrees on X0(M,N)."""
     _check_divides(M, N)
@@ -502,27 +521,22 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
     if N == 1:
         fld = Q(f, dK)
         return ([fld], [field_degree(fld)])
-    fac = factorize(N)
-    primes = sorted(fac)
-    locals_ = [
-        _primitive_local(order, ell, valuation(M, ell), fac[ell]) for ell in primes
+    rows = [
+        (ell, *_primitive_row(order, ell, valuation(M, ell), a))
+        for ell, a in factorize(N).items()
     ]
     rational_branch = M == 1 or (M == 2 and order.delta % 2 == 0)
     if rational_branch:
+        # every prime lists a rational field on this branch, so b is an int
         B = C = 1
         s = 0
         all_split_deep = True
-        for ell, fields in zip(primes, locals_):
-            rational = [g for g in fields if not g.contains_K]
-            others = [g for g in fields if g.contains_K]
-            b = valuation(rational[0].m, ell) - order.ell_valuation(ell)
-            c = valuation(others[0].m, ell) - order.ell_valuation(ell) if others else b
+        for ell, b, c, split_deep in rows:
             B *= ell**b
-            C *= ell**c
-            if others:
+            C *= ell ** (b if c is None else c)
+            if c is not None:
                 s += 1
-                if not _split_deep_level(order, ell, fac[ell]):
-                    all_split_deep = False
+                all_split_deep = all_split_deep and split_deep
         qfield = Q(B * f, dK)
         if s == 0:
             return ([qfield], [field_degree(qfield)])
@@ -534,10 +548,8 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
             degrees = [field_degree(kfield)]
         return (fields, degrees)
     C = 1
-    for ell, fields in zip(primes, locals_):
-        others = [g for g in fields if g.contains_K]
-        pick = others[0] if others else fields[0]
-        C *= ell ** (valuation(pick.m, ell) - order.ell_valuation(ell))
+    for ell, b, c, _ in rows:
+        C *= ell ** (b if c is None else c)
     kfield = K(C * f, dK)
     return ([kfield], [field_degree(kfield)])
 

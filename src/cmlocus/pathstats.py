@@ -8,7 +8,14 @@ Serves as the brute-force oracle against the normative tables on parameter
 ranges where an explicit graph would not fit in memory.
 """
 
-from .arith import ValidationError, _check_consistent, _check_prime, kronecker
+from .arith import (
+    ValidationError,
+    _check_consistent,
+    _check_int,
+    _check_power,
+    _check_prime,
+    kronecker,
+)
 from .fields import check_delta_K, unit_count
 from .forms import two_torsion_count
 
@@ -19,8 +26,9 @@ class _Tower:
     def __init__(self, delta_K, ell, f0):
         check_delta_K(delta_K)
         _check_prime(ell)
-        if f0 % ell == 0:
-            raise ValidationError("f0 must be coprime to ell")
+        _check_int(f0)
+        if f0 < 1 or f0 % ell == 0:
+            raise ValidationError("f0 must be a positive int coprime to ell")
         self.delta_K = delta_K
         self.ell = ell
         self.f0 = f0
@@ -51,9 +59,11 @@ class _Tower:
 def type_counts(delta_K, ell, f0, L, a):
     """{(b, h, d): (paths, real_paths)} for length-``a`` paths from the
     marked vertex at level ``L``."""
-    if a < 1:
-        raise ValidationError("a must be >= 1")
     t = _Tower(delta_K, ell, f0)
+    _check_power(ell, a)
+    _check_power(ell, L)
+    if a < 1 or L < 0:
+        raise ValidationError("need a >= 1 and L >= 0")
     out: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     # segments entirely below the surface
@@ -138,9 +148,10 @@ def _real_exits(t: _Tower, h: int, excl: int):
 def orbit_counts(delta_K, ell, a):
     """{(0, h, d): (orbits, real_orbits)} of geometric points for length-a
     paths from the surface vertex of the maximal order (f0 = 1, L = 0)."""
+    t = _Tower(delta_K, ell, 1)
+    _check_power(ell, a)
     if a < 1:
         raise ValidationError("a must be >= 1")
-    t = _Tower(delta_K, ell, 1)
     n1 = (ell - t.chi) // t.w2
     out: dict[tuple[int, int, int], tuple[int, int]] = {}
     for h in range(0, a + 1):

@@ -22,6 +22,7 @@ def test_every_cache_is_bounded():
         "arith._factor_items",
         "tables.path_classes",
         "locus._prime_rows",
+        "locus._primitive_row",
         "fields.rcf_rel_degree",
         "fields.canonical_conductor",
         "forms.class_number",

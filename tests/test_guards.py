@@ -1,13 +1,14 @@
 """The type guard of the public edge: every entry point that `cmlocus`
-exports, and `factorize` and `canonical_conductor` behind them, answers a
-float, a bool or an int beyond FACTOR_LIMIT with a ValidationError or with
-the answer it gives the plain int, and a refused argument never poisons a
-cache."""
+exports, `factorize` and `canonical_conductor` behind them, and every public
+name of `cmlocus.forms` and `cmlocus.pathstats`, answers a float, a bool or
+an int beyond FACTOR_LIMIT with a ValidationError or with the answer it
+gives the plain int, and a refused argument never poisons a cache."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmlocus
+from cmlocus import forms, pathstats
 from cmlocus import (
     K,
     OrderDisc,
@@ -102,6 +103,21 @@ CASES = {
     "x1_fiber": (lambda dK, f, M, N: x1_fiber(_order(dK, f), M, N), (-4, 1, 1, 10)),
     "x_nn_residue": (lambda dK, f, N: x_nn_residue(_order(dK, f), N), (-4, 3, 6)),
     "moduli_bounds": (lambda ell, b: moduli_bounds(-4, {ell: b}), (5, 2)),
+    # the public names of forms and pathstats that the package does not export
+    "reduce_form": (lambda a, b, c: forms.reduce_form((a, b, c)), (5, 2, 2)),
+    "principal_form": (forms.principal_form, (-84,)),
+    "inverse_form": (lambda a, b, c: forms.inverse_form((a, b, c)), (3, -2, 5)),
+    "compose": (lambda a, b, c, delta: forms.compose((a, b, c), (3, -2, 5), delta),
+                (3, -2, 5, -56)),
+    "form_pow": (lambda a, b, c, k, delta: forms.form_pow((a, b, c), k, delta),
+                 (3, -2, 5, 3, -56)),
+    "prime_form": (forms.prime_form, (-36, 5)),
+    "is_ambiguous": (lambda a, b, c: forms.is_ambiguous((a, b, c)), (3, -2, 5)),
+    "class_group_order_of": (
+        lambda a, b, c, delta: forms.class_group_order_of((a, b, c), delta), (3, -2, 5, -56)
+    ),
+    "type_counts": (pathstats.type_counts, (-4, 3, 1, 1, 2)),
+    "orbit_counts": (pathstats.orbit_counts, (-4, 5, 2)),
 }
 
 HUGE = (FACTOR_LIMIT + 1, 2**100 + 1, 10**30, -(10**30))
@@ -120,6 +136,16 @@ def test_every_exported_integer_entry_point_is_covered():
                "GraphPath", "IsogenyGraph"}  # no integer preconditions, or built via K/Q
     graph_only = {"geometric_points", "to_dot"}  # take a built graph, no integers
     assert exported - records - graph_only <= set(CASES)
+
+
+def test_every_public_name_of_forms_and_pathstats_is_covered():
+    for mod in (forms, pathstats):
+        public = {
+            name for name, obj in vars(mod).items()
+            if not name.startswith("_") and callable(obj)
+            and getattr(obj, "__module__", None) == mod.__name__
+        }
+        assert public and public <= set(CASES), sorted(public - set(CASES))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -177,3 +203,20 @@ def test_the_reported_holes_are_closed():
         fiber_X0MN(_order(-4, 1), True, 10)
     with pytest.raises(ValidationError):
         primitive_prime_power(_order(-4, 1), 2, 1, 10**30)  # refused before 2^(10^30)
+
+
+def test_the_reported_forms_and_pathstats_holes_are_closed():
+    for call, args in (
+        (forms.prime_form, (-84, 5.0)),
+        (pathstats.type_counts, (-4, 3, 1, 0, 2.0)),
+        (pathstats.orbit_counts, (-4, 5, 2.0)),
+        (pathstats.orbit_counts, (-4, 5, 10**6)),  # refused before 5^(10^6 - 1)
+        (pathstats.type_counts, (-4, 5, 1, 10**9, 2)),  # refused before 5^(2 * 10^9)
+        (forms.reduce_form, ((1, 0, -1),)),  # indefinite: reduction never ends
+        (forms.compose, ((1, 0, 1), (1, 1, 1), -4)),  # (1, 1, 1) has discriminant -3
+    ):
+        with pytest.raises(ValidationError):
+            call(*args)
+    # the largest exponent inside the guard still answers: (5 - 1) / 2
+    # orbits of first descents, then 5 choices at each later step
+    assert pathstats.orbit_counts(-4, 5, 34)[(0, 0, 34)][0] == 2 * 5**33

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmlocus.arith import OrderDisc, ValidationError, _factor_items, factorize, psi
-from cmlocus.fields import K, Q, embeds, field_degree, is_isomorphic, rcf_rel_degree
+from cmlocus.fields import FieldSymbol, K, Q, embeds, field_degree, is_isomorphic, rcf_rel_degree
 from cmlocus.locus import (
     PrimeLocalDatum,
     count_fiber_X0MN,
@@ -23,6 +23,9 @@ from cmlocus.locus import (
     _datum,
     _folds,
     _prime_rows,
+    _primitive_local,
+    _primitive_row,
+    _split_deep_level,
 )
 from cmlocus.tables import path_classes
 
@@ -139,11 +142,12 @@ def test_cold_and_warm_caches_agree():
     ]
     cold = []
     for q in queries:
-        for cache in (path_classes, _prime_rows, _factor_items, rcf_rel_degree):
+        for cache in (path_classes, _prime_rows, _primitive_row, _factor_items, rcf_rel_degree):
             cache.cache_clear()
         cold.append(repr((fiber_X0MN(*q), primitive_X0MN(*q))))
     warm = [repr((fiber_X0MN(*q), primitive_X0MN(*q))) for q in queries]
     assert path_classes.cache_info().hits > 0 and _prime_rows.cache_info().hits > 0
+    assert _primitive_row.cache_info().hits > 0
     assert warm == cold
 
 
@@ -291,7 +295,8 @@ def test_psi_identity_property(dK, f, N, pick):
 
 def test_integer_fold_matches_the_symbol_route():
     # every combination the fiber loop folds on integers gives the (field,
-    # e, count) that _combination computes from the same classes' data
+    # e, count) that _combination computes from the same classes' data, and
+    # the report gives the merged class of that field its degree
     branches = {"M = 2, delta = -4": 0, "f > 1 lifted": 0, "f > 1 lifted at 2": 0}
     for dK in (-3, -4):
         for f in range(1, 7):
@@ -308,7 +313,11 @@ def test_integer_fold_matches_the_symbol_route():
                     folds = list(_folds(order, M, per_prime))
                     combos = list(product(*per_data))
                     assert len(folds) == len(combos)
-                    for ((field, d, e, _), count, _), data in zip(folds, combos):
+                    degree_of = {(c.field, c.e, c.path_type): c.d
+                                 for c in fiber_X0MN(order, M, N).classes}
+                    for ((has_K, m, e, tag), count, _), data in zip(folds, combos):
+                        field = FieldSymbol("K" if has_K else "Q", m, dK)
+                        d = degree_of[(field, e, tag)]
                         assert (field, e, count) == _combination(order, M, list(data))
                         assert d * base_degree == field_degree(field)
                         if M == 2 and order.delta == -4:
@@ -318,6 +327,29 @@ def test_integer_fold_matches_the_symbol_route():
                             branches["f > 1 lifted"] += 1
                             branches["f > 1 lifted at 2"] += M % 2 == 0
     assert all(n > 0 for n in branches.values()), branches
+
+
+def test_primitive_row_matches_the_casework():
+    # the cached integers are the exponents read off _primitive_local's list
+    for dK in (-3, -4):
+        for f in range(1, 13):
+            order = OrderDisc.from_parts(dK, f)
+            for ell in (2, 3, 5, 7, 11, 13):
+                L = _val(f, ell)
+                for a in range(1, 7):
+                    for a_prime in range(a + 1):
+                        fields = _primitive_local(order, ell, a_prime, a)
+                        rational = [g for g in fields if not g.contains_K]
+                        others = [g for g in fields if g.contains_K]
+                        want = (
+                            _val(rational[0].m, ell) - L if rational else None,
+                            _val(others[0].m, ell) - L if others else None,
+                            _split_deep_level(order, ell, a),
+                        )
+                        assert _primitive_row(order, ell, a_prime, a) == want
+                        assert want[:2] != (None, None)
+                        for g in fields:
+                            assert g.m == ell ** (_val(g.m, ell) - L) * f
 
 
 def test_fiber_sweep_grid_is_pinned():
