@@ -1,46 +1,53 @@
 """cmlocus: exact arithmetic for CM loci on the modular curves X0(M,N)
-over the orders inside Q(i) and Q(sqrt(-3))."""
+over the orders inside Q(i) and Q(sqrt(-3)).
 
-from .arith import OrderDisc, euler_phi, kronecker, psi, split_discriminant
-from .fields import (
-    CompositumResult,
-    FieldSymbol,
-    K,
-    Q,
-    compose_rcf,
-    field_degree,
-    in_S,
-    rcf_rel_degree,
-    tensor_rcf,
-)
-from .forms import class_number, reduced_forms, two_torsion_count
-from .graph import (
-    GraphPath,
-    IsogenyGraph,
-    build_graph,
-    conjugation_graph,
-    double_cover,
-    enumerate_paths,
-    geometric_points,
-    to_dot,
-)
-from .locus import (
-    ClosedPointClass,
-    FiberReport,
-    PrimeLocalDatum,
-    closed_point_classes,
-    count_fiber_X0MN,
-    count_fiber_X0N,
-    fiber_X0MN,
-    lift_residue_prime_power,
-    moduli_bounds,
-    primitive_prime_power,
-    primitive_X0MN,
-    residue_X0MN,
-    residue_X0N,
-    x1_fiber,
-    x_nn_residue,
-)
+``import cmlocus`` loads no submodule.  Each public name below loads its
+home module on first lookup (PEP 562), so a command compiles only the
+modules it runs.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_HOME = {
+    **dict.fromkeys(
+        ("OrderDisc", "euler_phi", "kronecker", "psi", "split_discriminant"),
+        "arith",
+    ),
+    **dict.fromkeys(
+        ("CompositumResult", "FieldSymbol", "K", "Q", "compose_rcf",
+         "field_degree", "in_S", "rcf_rel_degree", "tensor_rcf"),
+        "fields",
+    ),
+    **dict.fromkeys(("class_number", "reduced_forms", "two_torsion_count"), "forms"),
+    **dict.fromkeys(
+        ("GraphPath", "IsogenyGraph", "build_graph", "conjugation_graph",
+         "double_cover", "enumerate_paths", "geometric_points", "to_dot"),
+        "graph",
+    ),
+    **dict.fromkeys(
+        ("ClosedPointClass", "FiberReport", "PrimeLocalDatum",
+         "closed_point_classes", "count_fiber_X0MN", "count_fiber_X0N",
+         "fiber_X0MN", "lift_residue_prime_power", "moduli_bounds",
+         "primitive_prime_power", "primitive_X0MN", "residue_X0MN",
+         "residue_X0N", "x1_fiber", "x_nn_residue"),
+        "locus",
+    ),
+}
+_MODULES = ("arith", "fields", "forms", "graph", "locus", "tables")
+
+__all__ = sorted([*_HOME, *_MODULES])
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,12 +13,9 @@ from math import gcd
 from . import __version__
 from ._kernel import BACKEND
 from .arith import OrderDisc, ValidationError, psi, split_discriminant
-from .fields import FieldSymbol, compose_rcf, field_degree, tensor_rcf
-from .forms import reduced_forms, two_torsion_count
-from .graph import build_graph, double_cover, to_dot
-from .locus import fiber_X0MN, primitive_X0MN, x1_fiber
-from .pathstats import orbit_counts, type_counts
-from .tables import class_d, class_e, path_classes
+
+# Each command imports the modules it runs when it runs, so a cold command
+# compiles only those.
 
 
 class _UsageError(Exception):
@@ -30,11 +27,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _field_json(sym: FieldSymbol) -> dict:
+def _field_json(sym) -> dict:
     return {"base": sym.base, "m": sym.m, "canonicalM": sym.canonical_m()}
 
 
-def _field_text(sym: FieldSymbol) -> str:
+def _field_text(sym) -> str:
     canon = sym.canonical_m()
     extra = "" if canon == sym.m else f" [= {sym.base}({canon})]"
     return f"{sym.base}({sym.m}){extra}"
@@ -61,6 +58,9 @@ def _add_order_flags(p):
 
 
 def _cmd_fiber(args) -> int:
+    from .fields import field_degree
+    from .locus import fiber_X0MN
+
     order = _order_from_args(args)
     report = fiber_X0MN(order, args.M, args.N)
     payload = {
@@ -99,6 +99,8 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_primitive(args) -> int:
+    from .locus import primitive_X0MN
+
     order = _order_from_args(args)
     fields, degrees = primitive_X0MN(order, args.M, args.N)
     payload = {
@@ -117,6 +119,8 @@ def _cmd_primitive(args) -> int:
 
 
 def _cmd_x1(args) -> int:
+    from .locus import x1_fiber
+
     order = _order_from_args(args)
     kind = "elliptic" if args.elliptic else "non-elliptic"
     e, f_deg, count = x1_fiber(order, args.M, args.N, kind)
@@ -136,6 +140,8 @@ def _cmd_x1(args) -> int:
 
 
 def _cmd_classgroup(args) -> int:
+    from .forms import reduced_forms, two_torsion_count
+
     forms = reduced_forms(args.disc)
     h = len(forms)
     r2 = two_torsion_count(args.disc)
@@ -154,7 +160,9 @@ def _cmd_classgroup(args) -> int:
     return 0
 
 
-def _parse_symbol(text: str, dk: int) -> FieldSymbol:
+def _parse_symbol(text: str, dk: int):
+    from .fields import FieldSymbol
+
     t = text.strip().replace("(", ":").replace(")", "")
     base, _, m = t.partition(":")
     if base not in ("Q", "K") or not m.isdigit():
@@ -163,6 +171,8 @@ def _parse_symbol(text: str, dk: int) -> FieldSymbol:
 
 
 def _cmd_rcf(args) -> int:
+    from .fields import FieldSymbol, compose_rcf, tensor_rcf
+
     if args.op == "compose":
         if args.conductors is None:
             raise _UsageError("rcf compose needs --conductors")
@@ -197,6 +207,8 @@ def _cmd_rcf(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .graph import build_graph, double_cover, to_dot
+
     if args.double:
         g = double_cover(args.dk, args.l, args.f0, args.depth)
     else:
@@ -215,6 +227,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .forms import two_torsion_count
+    from .pathstats import orbit_counts, type_counts
+    from .tables import class_d, class_e, path_classes
+
     if not args.sweep:
         raise ValidationError("nothing to check; pass --sweep")
     failures = 0

@@ -15,8 +15,10 @@ from .arith import (
     _check_consistent,
     _check_disc,
     _check_int,
+    _check_power,
     _check_prime,
     factorize,
+    kronecker,
 )
 
 DISC_CAP = 10**7  # census guard; O(|delta|) enumeration beyond this is refused
@@ -166,11 +168,44 @@ def prime_form(delta: int, ell: int) -> tuple[int, int, int]:
     """A reduced form of leading coefficient ``ell`` (the class of a prime
     ideal above a non-inert prime ell)."""
     _check_disc(delta)
+    _check_power(ell, 1)  # Miller-Rabin is deterministic up to FACTOR_LIMIT
     _check_prime(ell)
-    for b in range(2 * ell):
-        if (b * b - delta) % (4 * ell) == 0:
-            return _reduce(ell, b, (b * b - delta) // (4 * ell))
-    raise ValidationError(f"{ell} is inert in discriminant {delta}")
+    if kronecker(delta, ell) == -1:
+        raise ValidationError(f"{ell} is inert in discriminant {delta}")
+    if ell == 2:
+        b = next(b for b in range(4) if (b * b - delta) % 8 == 0)
+    else:
+        # b^2 = delta (mod 4 ell) means b = +-sqrt(delta) (mod ell) and
+        # b = delta (mod 2); the least such b in [0, 2 ell), which is the
+        # first hit of a scan over b
+        r = _sqrt_mod(delta, ell)
+        b = min(s if (s - delta) % 2 == 0 else s + ell for s in (r, (ell - r) % ell))
+    return _reduce(ell, b, (b * b - delta) // (4 * ell))
+
+
+def _sqrt_mod(n: int, p: int) -> int:
+    # a square root of n modulo an odd prime p, n a square mod p
+    # (Tonelli-Shanks)
+    n %= p
+    if n == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def is_ambiguous(form: tuple[int, int, int]) -> bool:

@@ -1,8 +1,10 @@
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -220,3 +222,84 @@ def test_fiber_at_large_prime_level(capsys):
     payload = json.loads(out)
     assert payload["psiCheck"] is True
     assert payload["checkTotal"] == 100000000000000000040
+
+
+# -- lazy loading: the package and the CLI load each module on first use --
+
+PUBLIC_NAMES = [
+    "ClosedPointClass", "CompositumResult", "FiberReport", "FieldSymbol",
+    "GraphPath", "IsogenyGraph", "K", "OrderDisc", "PrimeLocalDatum", "Q",
+    "arith", "build_graph", "class_number", "closed_point_classes",
+    "compose_rcf", "conjugation_graph", "count_fiber_X0MN", "count_fiber_X0N",
+    "double_cover", "enumerate_paths", "euler_phi", "fiber_X0MN",
+    "field_degree", "fields", "forms", "geometric_points", "graph", "in_S",
+    "kronecker", "lift_residue_prime_power", "locus", "moduli_bounds",
+    "primitive_X0MN", "primitive_prime_power", "psi", "rcf_rel_degree",
+    "reduced_forms", "residue_X0MN", "residue_X0N", "split_discriminant",
+    "tables", "tensor_rcf", "to_dot", "two_torsion_count", "x1_fiber",
+    "x_nn_residue",
+]
+
+
+def _fresh(code, *argv):
+    # stdout of ``code`` run in a fresh interpreter on this source tree
+    src = str(Path(cmlocus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    ).stdout
+
+
+def test_import_loads_no_submodule():
+    code = (
+        "import sys, cmlocus\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cmlocus.')))\n"
+    )
+    assert _fresh(code) == "[]\n"
+
+
+def test_public_names_are_pinned_and_resolve_to_their_home():
+    assert cmlocus.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        obj = getattr(cmlocus, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is importlib.import_module(f"cmlocus.{name}")
+        else:
+            home = importlib.import_module(obj.__module__)
+            assert home.__name__.startswith("cmlocus.") and getattr(home, name) is obj
+    star = {}
+    exec("from cmlocus import *", star)
+    assert all(star[name] is getattr(cmlocus, name) for name in PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(cmlocus))
+    with pytest.raises(AttributeError):
+        getattr(cmlocus, "no_such_name")
+
+
+_LOCUS = ["fields", "locus", "tables"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["fiber", "--dk", "-4", "--N", "10"], _LOCUS),
+    (["primitive", "--dk", "-4", "--N", "10"], _LOCUS),
+    (["x1", "--dk", "-3", "--N", "7", "--elliptic"], _LOCUS),
+    (["classgroup", "--disc", "-84"], ["forms"]),
+    (["check", "--sweep"], ["fields", "forms", "pathstats", "tables"]),
+    (["rcf", "compose", "--dk", "-3", "--conductors", "2,3"], ["fields"]),
+    (["graph", "--dk", "-4", "--l", "2"], ["fields", "forms", "graph"]),
+    (["--version"], []),
+], ids=["fiber", "primitive", "x1", "classgroup", "check", "rcf", "graph", "version"])
+def test_cli_command_loads_only_its_modules(argv, extra):
+    # the cmlocus.* modules in sys.modules after one command
+    code = (
+        "import contextlib, io, sys\n"
+        "import cmlocus.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        rc = cmlocus.cli.main(sys.argv[1:])\n"
+        "    except SystemExit as exit_:\n"
+        "        rc = exit_.code\n"
+        "print(rc, sorted(m[8:] for m in sys.modules if m.startswith('cmlocus.')))\n"
+    )
+    loaded = sorted(["_kernel", "arith", "cli", *extra])
+    assert _fresh(code, *argv) == f"0 {loaded}\n"

@@ -1,3 +1,4 @@
+import time
 from math import gcd, isqrt
 
 import pytest
@@ -130,6 +131,39 @@ def test_prime_form():
     assert form_pow(prime_form(-36, 5), 2, -36) == principal_form(-36)
     with pytest.raises(ValidationError):
         prime_form(-36, 7)  # inert
+
+
+def _prime_form_by_scan(delta, ell):
+    # the reference: the first b in [0, 2 ell) with b^2 = delta (mod 4 ell)
+    for b in range(2 * ell):
+        if (b * b - delta) % (4 * ell) == 0:
+            return reduce_form((ell, b, (b * b - delta) // (4 * ell)))
+    return None
+
+
+def test_prime_form_matches_the_scan():
+    primes = [p for p in range(2, 98) if all(p % q for q in range(2, isqrt(p) + 1))]
+    for delta in range(-3, -2001, -1):
+        if delta % 4 not in (0, 1):
+            continue
+        for ell in primes:
+            want = _prime_form_by_scan(delta, ell)
+            if want is None:
+                with pytest.raises(ValidationError, match="inert"):
+                    prime_form(delta, ell)
+            else:
+                assert prime_form(delta, ell) == want, (delta, ell)
+
+
+def test_prime_form_at_a_large_prime_is_fast():
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match="inert"):
+        prime_form(-84, 999999999989)
+    a, b, c = prime_form(-84, 1000000000039)  # split
+    assert time.perf_counter() - t0 < 1.0
+    assert b * b - 4 * a * c == -84 and reduce_form((a, b, c)) == (a, b, c)
+    with pytest.raises(ValidationError, match="factorization guard"):
+        prime_form(-84, 10**24 + 7)
 
 
 def test_census_guard():
