@@ -29,10 +29,9 @@ _HOME = {
     ),
     **dict.fromkeys(
         ("ClosedPointClass", "FiberReport", "PrimeLocalDatum",
-         "closed_point_classes", "count_fiber_X0MN", "count_fiber_X0N",
-         "fiber_X0MN", "lift_residue_prime_power", "moduli_bounds",
-         "primitive_prime_power", "primitive_X0MN", "residue_X0MN",
-         "residue_X0N", "x1_fiber", "x_nn_residue"),
+         "closed_point_classes", "count_fiber_X0MN", "fiber_X0MN",
+         "lift_residue_prime_power", "primitive_prime_power", "primitive_X0MN",
+         "residue_X0MN", "x1_fiber", "x_nn_residue"),
         "locus",
     ),
 }

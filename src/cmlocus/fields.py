@@ -16,9 +16,6 @@ from .arith import ValidationError, _check_consistent, _check_int, factorize, kr
 RATIONAL = "Q"
 RING_CLASS = "K"
 
-# discriminants of class number one lying over Q(i) and Q(sqrt(-3))
-D_SET = (-3, -4, -12, -16, -27)
-
 
 def check_delta_K(delta_K: int) -> None:
     """The one domain guard: everything built on the casework for the two
@@ -35,10 +32,10 @@ def unit_count(delta_K: int) -> int:
 
 
 def in_S(f: int, delta_K: int) -> bool:
-    """True iff f^2 * delta_K lies in the class-number-one set D."""
-    check_delta_K(delta_K)
-    _check_int(f)
-    return f * f * delta_K in D_SET
+    """True iff f^2 * delta_K has class number one, i.e. lies in
+    D = {-3, -4, -12, -16, -27}: the conductors 1, 2, 3 over Q(sqrt(-3))
+    and 1, 2 over Q(i)."""
+    return rcf_rel_degree(delta_K, f) == 1
 
 
 @lru_cache(maxsize=2048)
@@ -58,25 +55,20 @@ def rcf_rel_degree(delta_K: int, f: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=2048)
 def canonical_conductor(delta_K: int, m: int) -> int:
-    """Smallest divisor m0 | m with K(m0) = K(m) (equivalently equal degree).
+    """Smallest divisor m0 | m with K(m0) = K(m) (equivalently equal degree):
+    1 if ``in_S(m, delta_K)``, m itself otherwise.
 
-    Subsumes the S-collapse: any conductor whose order has class number one
-    canonicalizes to 1.
+    For 1 < m0 | m, each prime ell dropped from m multiplies d by ell
+    (when ell | m0) or by ell - chi(ell) >= 2 (2 splits in neither field),
+    so no proper divisor m0 > 1 has the degree of m.  The one collapse is
+    to m0 = 1, where the units w_K / 2 enter, and it happens exactly when
+    d(m) = d(1) = 1.
     """
+    # a hit in rcf_rel_degree's untyped cache skips its guard, so 6.0 would
+    # come back as 6.0
     _check_int(delta_K, m)
-    d = rcf_rel_degree(delta_K, m)
-    best = m
-    for p in factorize(m):
-        m0 = m
-        while m0 % p == 0 and rcf_rel_degree(delta_K, m0 // p) == d:
-            m0 //= p
-        if m0 < best:
-            cand = canonical_conductor(delta_K, m0)
-            if rcf_rel_degree(delta_K, cand) == d:
-                best = min(best, cand)
-    return best
+    return 1 if in_S(m, delta_K) else m
 
 
 class FieldSymbol(namedtuple("FieldSymbol", "base m delta_K")):
@@ -105,10 +97,6 @@ class FieldSymbol(namedtuple("FieldSymbol", "base m delta_K")):
     @property
     def contains_K(self) -> bool:
         return self.base == RING_CLASS
-
-    @property
-    def is_formally_real(self) -> bool:
-        return self.base == RATIONAL
 
     def canonical_m(self) -> int:
         return canonical_conductor(self.delta_K, self.m)

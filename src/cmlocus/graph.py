@@ -203,7 +203,6 @@ def _build_surface_suborder(g: IsogenyGraph):
     p_edge: dict[int, Edge] = {}
     pbar_edge: dict[int, Edge] = {}
     if chi != -1:
-        pcls = prime_form(disc0, ell)
         pbar = inverse_form(pcls)
         for i, f in enumerate(order):
             tgt = index_of[compose(f, pcls, disc0)]

@@ -167,26 +167,10 @@ def lift_residue_prime_power(
     return K(lcm(ell**ap * f, downstairs_field.m), dK)
 
 
-def residue_X0N(order: OrderDisc, data) -> FieldSymbol:
-    """Residue field on X0(N) from per-prime data; conductor-1 orders only."""
-    if order.f != 1:
-        raise ValidationError("residue_X0N applies to the maximal orders")
-    _check_data(1, _level_of(data), data)
-    return _residue(order, 1, data)
-
-
 def residue_X0MN(order: OrderDisc, M: int, N: int, data) -> FieldSymbol:
     """Residue field on X0(M,N) from per-prime downstairs data."""
     _check_data(M, N, data)
     return _residue(order, M, data)
-
-
-def count_fiber_X0N(order: OrderDisc, data) -> tuple[int, FieldSymbol]:
-    """Number of points of X0(N) above a combination of per-prime classes,
-    together with their shared residue field."""
-    _check_data(1, _level_of(data), data)
-    field, _, count = _combination(order, 1, data)
-    return (count, field)
 
 
 def count_fiber_X0MN(order: OrderDisc, M: int, N: int, data) -> int:
@@ -194,13 +178,6 @@ def count_fiber_X0MN(order: OrderDisc, M: int, N: int, data) -> int:
     classes (all sharing one residue field)."""
     _check_data(M, N, data)
     return _combination(order, M, data)[2]
-
-
-def _level_of(data) -> int:
-    n = 1
-    for d in data:
-        n *= d.ell**d.a
-    return n
 
 
 def _check_divides(M, N):
@@ -588,11 +565,3 @@ def x1_fiber(order: OrderDisc, M: int, N: int, point_kind: str = "non-elliptic")
     f_deg = euler_phi(N) // 2 if N >= 3 else 1
     return (1, f_deg, 1)
 
-
-def moduli_bounds(delta_K: int, exponents: dict[int, int]):
-    """Sandwich (Q(prod l^b), K(prod l^b)) for a field of moduli."""
-    m = 1
-    for ell, b in exponents.items():
-        _check_power(ell, b)
-        m *= ell**b
-    return (Q(m, delta_K), K(m, delta_K))

@@ -24,7 +24,6 @@ def test_every_cache_is_bounded():
         "locus._prime_rows",
         "locus._primitive_row",
         "fields.rcf_rel_degree",
-        "fields.canonical_conductor",
         "forms.class_number",
         "forms.two_torsion_count",
         "graph.build_graph",

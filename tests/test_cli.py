@@ -171,6 +171,37 @@ def test_rcf_cli(capsys):
         assert code == 1 and "usage" in err
 
 
+# conductors whose order has class number one print as their collapse to 1
+COLLAPSED = {
+    ("fiber", "--dk", "-3", "--N", "6"): """\
+fiber of X0(1,6) over J_-3
+  Q(2) [= Q(1)]      d=1     e=3 count=1
+  Q(6)               d=3     e=3 count=1
+  total e*d*count = 12 (expected 12)
+""",
+    ("primitive", "--dk", "-4", "--M", "2", "--N", "4", "--format", "json"): json.dumps({
+        "curve": {"M": 2, "N": 4},
+        "order": {"deltaK": -4, "f": 1},
+        "primitiveFields": [
+            {"base": "Q", "m": 4, "canonicalM": 4},
+            {"base": "K", "m": 2, "canonicalM": 1},
+        ],
+        "primitiveDegrees": [2],
+    }, indent=2) + "\n",
+    # K(2) is K(1) over Q(i), so the tensor absorbs it and keeps Q(5)'s conductor
+    ("rcf", "tensor", "--dk", "-4", "--left", "K:2", "--right", "Q:5"): json.dumps({
+        "factors": [
+            {"closure": {"base": "K", "m": 5, "canonicalM": 5}, "index": 1, "degree": 4},
+        ],
+    }, indent=2) + "\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COLLAPSED), ids=lambda argv: argv[0])
+def test_collapsed_conductors_are_pinned(capsys, argv):
+    assert run(capsys, *argv) == (0, COLLAPSED[argv], "")
+
+
 def test_graph_cli_and_dot(capsys):
     code, out, _ = run(capsys, "graph", "--dk", "-4", "--l", "2", "--depth", "2")
     assert code == 0 and "level 2: 2 vertices" in out
@@ -230,14 +261,13 @@ PUBLIC_NAMES = [
     "ClosedPointClass", "CompositumResult", "FiberReport", "FieldSymbol",
     "GraphPath", "IsogenyGraph", "K", "OrderDisc", "PrimeLocalDatum", "Q",
     "arith", "build_graph", "class_number", "closed_point_classes",
-    "compose_rcf", "conjugation_graph", "count_fiber_X0MN", "count_fiber_X0N",
-    "double_cover", "enumerate_paths", "euler_phi", "fiber_X0MN",
-    "field_degree", "fields", "forms", "geometric_points", "graph", "in_S",
-    "kronecker", "lift_residue_prime_power", "locus", "moduli_bounds",
-    "primitive_X0MN", "primitive_prime_power", "psi", "rcf_rel_degree",
-    "reduced_forms", "residue_X0MN", "residue_X0N", "split_discriminant",
-    "tables", "tensor_rcf", "to_dot", "two_torsion_count", "x1_fiber",
-    "x_nn_residue",
+    "compose_rcf", "conjugation_graph", "count_fiber_X0MN", "double_cover",
+    "enumerate_paths", "euler_phi", "fiber_X0MN", "field_degree", "fields",
+    "forms", "geometric_points", "graph", "in_S", "kronecker",
+    "lift_residue_prime_power", "locus", "primitive_X0MN",
+    "primitive_prime_power", "psi", "rcf_rel_degree", "reduced_forms",
+    "residue_X0MN", "split_discriminant", "tables", "tensor_rcf", "to_dot",
+    "two_torsion_count", "x1_fiber", "x_nn_residue",
 ]
 
 

@@ -1,5 +1,5 @@
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -64,6 +64,9 @@ def test_in_S():
     assert in_S(2, -4) and in_S(3, -3) and not in_S(5, -4)
     assert [f for f in range(1, 10) if in_S(f, -3)] == [1, 2, 3]
     assert [f for f in range(1, 10) if in_S(f, -4)] == [1, 2]
+    for f in (0, -1, -2):  # (-1)^2 * -4 and (-2)^2 * -4 lie in D, but no conductor is < 1
+        with pytest.raises(ValidationError):
+            in_S(f, -4)
 
 
 def test_canonical_conductor_collapses():
@@ -71,12 +74,14 @@ def test_canonical_conductor_collapses():
     assert canonical_conductor(-3, 3) == 1
     assert canonical_conductor(-4, 2) == 1
     assert canonical_conductor(-3, 6) == 6
-    # K(2f) = K(f) whenever the degree does not move
+    # the definition, by brute force: the smallest divisor of m whose ring
+    # class field has the same degree
     for dK in (-3, -4):
-        for m in range(1, 60):
-            c = canonical_conductor(dK, m)
-            assert m % c == 0
-            assert rcf_rel_degree(dK, c) == rcf_rel_degree(dK, m)
+        for m in range(1, 3001):
+            d = rcf_rel_degree(dK, m)
+            divisors = {c for a in range(1, isqrt(m) + 1) if m % a == 0 for c in (a, m // a)}
+            least = min(c for c in divisors if rcf_rel_degree(dK, c) == d)
+            assert canonical_conductor(dK, m) == least, (dK, m)
 
 
 def test_isomorphism_and_embedding():

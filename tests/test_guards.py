@@ -19,7 +19,6 @@ from cmlocus import (
     compose_rcf,
     conjugation_graph,
     count_fiber_X0MN,
-    count_fiber_X0N,
     double_cover,
     enumerate_paths,
     euler_phi,
@@ -28,14 +27,12 @@ from cmlocus import (
     in_S,
     kronecker,
     lift_residue_prime_power,
-    moduli_bounds,
     primitive_prime_power,
     primitive_X0MN,
     psi,
     rcf_rel_degree,
     reduced_forms,
     residue_X0MN,
-    residue_X0N,
     split_discriminant,
     tensor_rcf,
     two_torsion_count,
@@ -90,9 +87,6 @@ CASES = {
                                                        cmlocus.Q(4, -4)),
         (2, 1, 2, 2),
     ),
-    "residue_X0N": (lambda ell, a: residue_X0N(_order(-4, 1), [_datum(ell, 0, a, a)]), (2, 2)),
-    "count_fiber_X0N": (lambda ell, a: count_fiber_X0N(_order(-4, 1), [_datum(ell, 0, a, a)]),
-                        (2, 2)),
     "residue_X0MN": (lambda M, N: residue_X0MN(_order(-4, 1), M, N, [_datum(2, 1, 3, 3)]),
                      (2, 8)),
     "count_fiber_X0MN": (
@@ -102,7 +96,6 @@ CASES = {
     "primitive_X0MN": (lambda dK, f, M, N: primitive_X0MN(_order(dK, f), M, N), (-3, 2, 3, 45)),
     "x1_fiber": (lambda dK, f, M, N: x1_fiber(_order(dK, f), M, N), (-4, 1, 1, 10)),
     "x_nn_residue": (lambda dK, f, N: x_nn_residue(_order(dK, f), N), (-4, 3, 6)),
-    "moduli_bounds": (lambda ell, b: moduli_bounds(-4, {ell: b}), (5, 2)),
     # the public names of forms and pathstats that the package does not export
     "reduce_form": (lambda a, b, c: forms.reduce_form((a, b, c)), (5, 2, 2)),
     "principal_form": (forms.principal_form, (-84,)),
@@ -180,7 +173,6 @@ def test_non_ints_are_refused_or_answered_as_ints(name, pos, kind, huge):
 def test_float_never_poisons_an_untyped_cache():
     for fn, args in (
         (rcf_rel_degree, (-4, 15)),
-        (canonical_conductor, (-4, 6)),
         (class_number, (-84,)),
         (two_torsion_count, (-84,)),
     ):

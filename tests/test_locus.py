@@ -9,14 +9,11 @@ from cmlocus.fields import FieldSymbol, K, Q, embeds, field_degree, is_isomorphi
 from cmlocus.locus import (
     PrimeLocalDatum,
     count_fiber_X0MN,
-    count_fiber_X0N,
     fiber_X0MN,
     lift_residue_prime_power,
-    moduli_bounds,
     primitive_X0MN,
     primitive_prime_power,
     residue_X0MN,
-    residue_X0N,
     x1_fiber,
     x_nn_residue,
     _combination,
@@ -53,14 +50,15 @@ def test_lift_examples():
 
 
 def test_residue_x0n_examples():
-    assert str(residue_X0N(O4, [PrimeLocalDatum(2, 0, 2, 2, False, False, True)])) == "Q(4)"
+    desc4 = PrimeLocalDatum(2, 0, 2, 2, False, False, True)
+    assert str(residue_X0MN(O4, 1, 4, [desc4])) == "Q(4)"
     loop5 = PrimeLocalDatum(5, 0, 1, 0, True, True, False)
-    assert str(residue_X0N(O4, [loop5])) == "K(1)"
+    assert str(residue_X0MN(O4, 1, 5, [loop5])) == "K(1)"
     both = [
         PrimeLocalDatum(2, 0, 1, 1, False, False, True),
         PrimeLocalDatum(3, 0, 1, 1, False, False, True),
     ]
-    field = residue_X0N(O3, both)
+    field = residue_X0MN(O3, 1, 6, both)
     assert str(field) == "Q(6)" and field_degree(field) == 3  # checked vs d(6)
 
 
@@ -77,12 +75,12 @@ def test_count_fiber_x0n():
     split = PrimeLocalDatum(5, 0, 1, 0, True, True, False)
     ram = PrimeLocalDatum(2, 0, 1, 1, False, False, True)
     split13 = PrimeLocalDatum(13, 0, 1, 0, True, True, False)
-    assert count_fiber_X0N(O4, [ram])[0] == 1  # s = 0
-    assert count_fiber_X0N(O4, [split, ram])[0] == 1  # s = 1
-    assert count_fiber_X0N(O4, [split, split13])[0] == 2  # s = 2
+    assert count_fiber_X0MN(O4, 1, 2, [ram]) == 1  # s = 0
+    assert count_fiber_X0MN(O4, 1, 10, [split, ram]) == 1  # s = 1
+    assert count_fiber_X0MN(O4, 1, 65, [split, split13]) == 2  # s = 2
     # s = 3 -> 4 points
     split17 = PrimeLocalDatum(17, 0, 1, 0, True, True, False)
-    assert count_fiber_X0N(O4, [split, split13, split17])[0] == 4
+    assert count_fiber_X0MN(O4, 1, 1105, [split, split13, split17]) == 4
 
 
 def test_count_fiber_x0mn_examples():
@@ -151,13 +149,6 @@ def test_cold_and_warm_caches_agree():
     assert warm == cold
 
 
-def test_moduli_bounds():
-    lo, hi = moduli_bounds(-4, {2: 2, 5: 1})
-    assert (str(lo), str(hi)) == ("Q(20)", "K(20)")
-    lo, hi = moduli_bounds(-4, {5: 1})
-    assert (str(lo), str(hi)) == ("Q(5)", "K(5)")
-
-
 def test_fields_in_moduli_band():
     # every composite residue field sits between Q and K of the conductor
     # assembled from its prime-local lifts
@@ -174,7 +165,7 @@ def test_fields_in_moduli_band():
                     for ell, cls in zip(primes, combo)
                 ]
                 field = residue_X0MN(order, M, N, data)
-                exps = {}
+                m = 1
                 for d in data:
                     lifted = lift_residue_prime_power(
                         order,
@@ -183,8 +174,8 @@ def test_fields_in_moduli_band():
                         if d.contains_K
                         else Q(d.ell**d.field_exp * order.f, order.delta_K),
                     )
-                    exps[d.ell] = _val(lifted.m, d.ell)
-                lo, hi = moduli_bounds(order.delta_K, exps)
+                    m *= d.ell ** _val(lifted.m, d.ell)
+                lo, hi = Q(m, order.delta_K), K(m, order.delta_K)
                 if order.f == 1:
                     assert embeds(lo, field) and embeds(field, hi)
 
@@ -206,8 +197,6 @@ def test_data_validation():
         PrimeLocalDatum(2, 1, 3, 1, False, False, True)  # purely descending, d < a
     loop5 = PrimeLocalDatum(5, 0, 1, 0, True, True, False)
     with pytest.raises(ValidationError):
-        residue_X0N(O4, [loop5] * 2)
-    with pytest.raises(ValidationError):
         fiber_X0MN(O4, 3, 4)
     # the residue and count rules check their data against (M, N)
     desc2 = PrimeLocalDatum(2, 1, 1, 1, False, False, True)
@@ -215,38 +204,19 @@ def test_data_validation():
         (1, 7, [loop5]),  # level-7 curve from ell = 5 data
         (2, 10, [loop5]),  # no datum for ell = 2
         (1, 25, [loop5]),  # a = 1, but v_5(25) = 2
+        (1, 25, [loop5, loop5]),  # one datum per prime, each with a = v_ell(N)
         (1, 10, [desc2, loop5]),  # a' = 1, but v_2(1) = 0
         (2, 2, [desc2, desc2]),  # one datum per prime
+        (1, 2, [desc2]),  # a' = 1 on X0(2)
         (1, 4, [PrimeLocalDatum(4, 0, 1, 1, False, False, True)]),  # composite ell
     ]
     for M, N, data in bad:
         for call in (residue_X0MN, count_fiber_X0MN):
             with pytest.raises(ValidationError):
                 call(O4, M, N, data)
-    for data in ([PrimeLocalDatum(4, 0, 1, 1, False, False, True)], [desc2]):
-        for call in (residue_X0N, count_fiber_X0N):
-            with pytest.raises(ValidationError):
-                call(O4, data)
     for ell, a_prime, a in ((4, 0, 2), (6, 1, 1)):  # composite ell
         with pytest.raises(ValidationError):
             primitive_prime_power(O4, ell, a_prime, a)
-
-
-def test_count_fiber_x0n_is_the_m1_rule():
-    for dK in (-3, -4):
-        for f in (1, 2, 3):
-            order = OrderDisc.from_parts(dK, f)
-            for N in range(2, 61):
-                fac = factorize(N)
-                per = [
-                    [_datum(order, ell, 0, a, cls) for cls in path_classes(order, ell, a)]
-                    for ell, a in sorted(fac.items())
-                ]
-                for data in product(*per):
-                    assert count_fiber_X0N(order, data) == (
-                        count_fiber_X0MN(order, 1, N, data),
-                        residue_X0MN(order, 1, N, data),
-                    )
 
 
 def _prime_powers(n):
