@@ -363,8 +363,6 @@ def _mark_edge_conjugation(g: IsogenyGraph):
     w2 = unit_count(dK) // 2
     for v, edges in list(g.out.items()):
         for e in edges:
-            if e.eid in g.conj_e:
-                continue
             cv, cw = g.conj_v[e.src], g.conj_v[e.dst]
             if e.kind == "up":
                 target = next(x for x in g.out[cv] if x.kind == "up")
@@ -473,10 +471,10 @@ PATH_LIMIT = 3_000_000
 VERTEX_LIMIT = 1_000_000  # vertices one build_graph may materialize
 
 
-def enumerate_paths(graph: IsogenyGraph, start_level: int, a: int,
-                    limit: int = PATH_LIMIT) -> list[GraphPath]:
-    """All nonbacktracking length-``a`` paths from the marked vertex."""
-    _check_int(start_level, a, limit)
+def enumerate_paths(graph: IsogenyGraph, start_level: int, a: int) -> list[GraphPath]:
+    """All nonbacktracking length-``a`` paths from the marked vertex; more
+    than ``PATH_LIMIT`` of them is a validation error."""
+    _check_int(start_level, a)
     if start_level < 0 or a < 0:
         raise ValidationError("need start_level >= 0 and a >= 0")
     if start_level + a > graph.depth:
@@ -487,7 +485,7 @@ def enumerate_paths(graph: IsogenyGraph, start_level: int, a: int,
     def rec(v: Vertex, prev: Edge | None, remaining: int):
         if remaining == 0:
             out.append(GraphPath(start_level, tuple(stack)))
-            if len(out) > limit:
+            if len(out) > PATH_LIMIT:
                 raise ValidationError("path enumeration limit exceeded")
             return
         for e in graph.out[v]:

@@ -29,6 +29,7 @@ from .fields import (
     FieldSymbol,
     K,
     Q,
+    check_delta_K,
     field_degree,
     minimal_fields,
     rcf_rel_degree,
@@ -378,87 +379,76 @@ def primitive_prime_power(order: OrderDisc, ell: int, a_prime: int, a: int):
     if not 0 <= a_prime <= a or ell**a < 2:
         raise ValidationError("need 0 <= a' <= a and ell^a >= 2")
     _check_prime(ell)
-    return _primitive_local(order, ell, a_prime, a)
+    b, c, _ = _primitive_row(order, ell, a_prime, a)
+    f, dK = order.f, order.delta_K
+    return ([Q(ell**b * f, dK)] if b is not None else []) + (
+        [K(ell**c * f, dK)] if c is not None else []
+    )
 
 
-def _primitive_local(order: OrderDisc, ell: int, a_prime: int, a: int):
-    # the unchecked core of primitive_prime_power: ell^a is a prime power
-    # of a level that passed factorize
-    dK, f, delta = order.delta_K, order.f, order.delta
-    L = order.ell_valuation(ell)
+@lru_cache(maxsize=2048, typed=True)
+def _primitive_row(order: OrderDisc, ell: int, a_prime: int, a: int):
+    """One prime's primitive casework as integers (b, c, split_deep): the
+    primitive fields on X0(ell^a', ell^a) are Q(ell^b f) and K(ell^c f), each
+    only where its exponent is not None, and split_deep is
+    ``_split_deep_level``.  The unchecked core of primitive_prime_power:
+    ell^a is a prime power of a level that passed factorize."""
+    # no field is built here, so a refused delta_K must raise before caching
+    check_delta_K(order.delta_K)
     if a_prime == 0:
-        return _primitive_base(order, ell, a)
-    if ell**a_prime >= 3:
-        chiK = kronecker(dK, ell)
-        if chiK == 1:
-            return [K(ell**a_prime * f, dK)]
-        if chiK == -1:
-            return [K(ell ** max(a_prime, a - 2 * L) * f, dK)]
-        return [K(ell ** max(a_prime, a - 2 * L - 1) * f, dK)]
-    # ell^{a'} = 2; an odd delta = -3 f^2 has 2 inert in its order
-    if delta % 2 != 0:
-        return [K(2**a * f, dK)]
-    return _primitive_two_even(order, a)
+        b, c = _primitive_base(order, ell, a)
+    elif ell**a_prime >= 3:
+        chiK = kronecker(order.delta_K, ell)
+        L = order.ell_valuation(ell)
+        b, c = None, a_prime if chiK == 1 else max(a_prime, a - 2 * L - (chiK == 0))
+    elif order.delta % 2 != 0:
+        # ell^{a'} = 2; an odd delta = -3 f^2 has 2 inert in its order
+        b, c = None, a
+    else:
+        b, c = _primitive_two_even(order, a)
+    return b, c, _split_deep_level(order, ell, a)
 
 
 def _primitive_base(order: OrderDisc, ell: int, a: int):
-    dK, f, delta = order.delta_K, order.f, order.delta
+    """(b, c) on X0(ell^a)."""
     L = order.ell_valuation(ell)
-    chi = kronecker(delta, ell)
-    chiK = kronecker(dK, ell)
+    chi = kronecker(order.delta, ell)
+    chiK = kronecker(order.delta_K, ell)
     if ell**a == 2:
-        return [Q(f, dK)] if chi != -1 else [Q(2 * f, dK)]
+        return int(chi == -1), None
     if L == 0:
-        if chi == 1:
-            return [Q(ell**a * f, dK), K(f, dK)]
-        if chi == -1:
-            return [Q(ell**a * f, dK)]
-        return [Q(ell ** (a - 1) * f, dK)]
+        return a - (chi == 0), 0 if chi == 1 else None
     if ell > 2:
-        if chiK == 1:
-            if a <= 2 * L:
-                return [Q(f, dK)]
-            return [Q(ell ** (a - 2 * L) * f, dK), K(f, dK)]
-        if chiK == -1:
-            if a <= 2 * L:
-                return [Q(f, dK)]
-            return [Q(ell ** (a - 2 * L) * f, dK)]
-        if a <= 2 * L + 1:
-            return [Q(f, dK)]
-        return [Q(ell ** (a - 2 * L - 1) * f, dK)]
+        t = a - 2 * L - (chiK == 0)
+        if t <= 0:
+            return 0, None
+        return t, 0 if chiK == 1 else None
     # ell = 2, a >= 2, L >= 1; 2 is inert (delta_K = -3) or ramified (-4)
     if chiK == -1:
-        if L == 1:
-            return [Q(2**a * f, dK), K(2 ** (a - 2) * f, dK)]
         if a <= 2 * L - 2:
-            return [Q(f, dK)]
-        return [Q(2 ** (a - 2 * L + 2) * f, dK), K(2 ** max(a - 2 * L, 0) * f, dK)]
+            return 0, None
+        return a - 2 * L + 2, max(a - 2 * L, 0)
     if a <= 2 * L:
-        return [Q(f, dK)]
-    return [Q(2 ** (a - 2 * L) * f, dK), K(2 ** (a - 2 * L - 1) * f, dK)]
+        return 0, None
+    return a - 2 * L, a - 2 * L - 1
 
 
 def _primitive_two_even(order: OrderDisc, a: int):
-    """X0(2, 2^a) over an even discriminant."""
-    dK, f = order.delta_K, order.f
+    """(b, c) on X0(2, 2^a) over an even discriminant."""
     L = order.ell_valuation(2)
     if a == 1:
-        return [Q(2 * f, dK)]
+        return 1, None
     if L == 0:  # an odd conductor: delta_K = -4
-        return [Q(2**a * f, dK), K(2 ** (a - 1) * f, dK)]
-    if dK == -3:
-        if L == 1 and a == 2:
-            return [Q(4 * f, dK), K(2 * f, dK)]
-        if L == 1:
-            return [Q(2**a * f, dK), K(2 ** (a - 2) * f, dK)]
+        return a, a - 1
+    if order.delta_K == -3:
         if a <= 2 * L - 1:
-            return [Q(2 * f, dK)]
+            return 1, None
         if a == 2 * L:
-            return [Q(4 * f, dK), K(2 * f, dK)]
-        return [Q(2 ** (a - 2 * L + 2) * f, dK), K(2 ** (a - 2 * L) * f, dK)]
+            return 2, 1
+        return a - 2 * L + 2, a - 2 * L
     if a <= 2 * L + 1:
-        return [Q(2 * f, dK)]
-    return [Q(2 ** (a - 2 * L) * f, dK), K(2 ** (a - 2 * L - 1) * f, dK)]
+        return 1, None
+    return a - 2 * L, a - 2 * L - 1
 
 
 def _split_deep_level(order: OrderDisc, ell: int, a: int) -> bool:
@@ -474,23 +464,6 @@ def _split_deep_level(order: OrderDisc, ell: int, a: int) -> bool:
     )
 
 
-@lru_cache(maxsize=2048, typed=True)
-def _primitive_row(order: OrderDisc, ell: int, a_prime: int, a: int):
-    """One prime's primitive casework as integers: the ell-exponents, over
-    the conductor f, of the first rational and of the first K field that
-    ``_primitive_local`` lists (None where it lists none), and
-    ``_split_deep_level``."""
-    L = order.ell_valuation(ell)
-    fields = _primitive_local(order, ell, a_prime, a)
-    rational = [valuation(g.m, ell) - L for g in fields if not g.contains_K]
-    others = [valuation(g.m, ell) - L for g in fields if g.contains_K]
-    return (
-        rational[0] if rational else None,
-        others[0] if others else None,
-        _split_deep_level(order, ell, a),
-    )
-
-
 def primitive_X0MN(order: OrderDisc, M: int, N: int):
     """Primitive residue fields and primitive degrees on X0(M,N)."""
     _check_divides(M, N)
@@ -502,31 +475,25 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
         (ell, *_primitive_row(order, ell, valuation(M, ell), a))
         for ell, a in factorize(N).items()
     ]
-    rational_branch = M == 1 or (M == 2 and order.delta % 2 == 0)
-    if rational_branch:
-        # every prime lists a rational field on this branch, so b is an int
-        B = C = 1
-        s = 0
-        all_split_deep = True
-        for ell, b, c, split_deep in rows:
-            B *= ell**b
-            C *= ell ** (b if c is None else c)
-            if c is not None:
-                s += 1
-                all_split_deep = all_split_deep and split_deep
-        qfield = Q(B * f, dK)
-        if s == 0:
-            return ([qfield], [field_degree(qfield)])
-        kfield = K(C * f, dK)
-        fields = [qfield, kfield]
-        if all_split_deep:
-            degrees = sorted({field_degree(qfield), field_degree(kfield)})
-        else:
-            degrees = [field_degree(kfield)]
-        return (fields, degrees)
     C = 1
     for ell, b, c, _ in rows:
         C *= ell ** (b if c is None else c)
+    if M == 1 or (M == 2 and order.delta % 2 == 0):
+        # every prime lists a rational field on this branch, so b is an int
+        B, split_deep = 1, []
+        for ell, b, c, sd in rows:
+            B *= ell**b
+            if c is not None:
+                split_deep.append(sd)
+        qfield = Q(B * f, dK)
+        if not split_deep:
+            return ([qfield], [field_degree(qfield)])
+        kfield = K(C * f, dK)
+        if all(split_deep):
+            degrees = sorted({field_degree(qfield), field_degree(kfield)})
+        else:
+            degrees = [field_degree(kfield)]
+        return ([qfield, kfield], degrees)
     kfield = K(C * f, dK)
     return ([kfield], [field_degree(kfield)])
 

@@ -202,6 +202,32 @@ def test_collapsed_conductors_are_pinned(capsys, argv):
     assert run(capsys, *argv) == (0, COLLAPSED[argv], "")
 
 
+# the primitive casework at deep levels: 2 inert under L = 3, the X0(2, 2^a)
+# rule of delta_K = -3 at a = 2L, and an odd prime with a' >= 1 and L = 2
+DEEP_PRIMITIVE = {
+    ("primitive", "--dk", "-3", "--f", "8", "--N", "64"): """\
+primitive residue fields on X0(1,64): Q(32), K(8)
+primitive degrees: 8
+""",
+    ("primitive", "--dk", "-3", "--f", "4", "--M", "2", "--N", "16"): """\
+primitive residue fields on X0(2,16): Q(16), K(8)
+primitive degrees: 8
+""",
+    ("primitive", "--dk", "-3", "--f", "9", "--M", "3", "--N", "243", "--format", "json"):
+        json.dumps({
+            "curve": {"M": 3, "N": 243},
+            "order": {"deltaK": -3, "f": 9},
+            "primitiveFields": [{"base": "K", "m": 27, "canonicalM": 27}],
+            "primitiveDegrees": [18],
+        }, indent=2) + "\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DEEP_PRIMITIVE), ids=" ".join)
+def test_deep_primitive_casework_is_pinned(capsys, argv):
+    assert run(capsys, *argv) == (0, DEEP_PRIMITIVE[argv], "")
+
+
 def test_graph_cli_and_dot(capsys):
     code, out, _ = run(capsys, "graph", "--dk", "-4", "--l", "2", "--depth", "2")
     assert code == 0 and "level 2: 2 vertices" in out

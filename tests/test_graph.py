@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from cmlocus import graph as G
 from cmlocus.arith import ValidationError, psi
 from cmlocus.forms import two_torsion_count
 from cmlocus.graph import (
@@ -277,3 +278,11 @@ def test_backtracking_after_ascend():
     shapes = Counter(p.bhd for p in paths)
     assert shapes[(1, 0, 1)] == 3  # 4 parallel exits minus the dual
     assert len(paths) == psi(25)
+
+
+def test_path_limit_is_read_at_call_time(monkeypatch):
+    g = build_graph(-4, 5, 1, 3)
+    assert len(enumerate_paths(g, 0, 2)) == 30
+    monkeypatch.setattr(G, "PATH_LIMIT", 5)
+    with pytest.raises(ValidationError, match="path enumeration limit"):
+        enumerate_paths(g, 0, 2)

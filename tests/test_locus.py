@@ -20,7 +20,6 @@ from cmlocus.locus import (
     _datum,
     _folds,
     _prime_rows,
-    _primitive_local,
     _primitive_row,
     _split_deep_level,
 )
@@ -299,27 +298,56 @@ def test_integer_fold_matches_the_symbol_route():
     assert all(n > 0 for n in branches.values()), branches
 
 
+def _row_fields(order, ell, row):
+    # the fields a row stands for: Q(ell^b f) first, then K(ell^c f)
+    b, c = row[:2]
+    f, dK = order.f, order.delta_K
+    return ([Q(ell**b * f, dK)] if b is not None else []) + (
+        [K(ell**c * f, dK)] if c is not None else []
+    )
+
+
 def test_primitive_row_matches_the_casework():
-    # the cached integers are the exponents read off _primitive_local's list
+    # the cached integers are the casework: primitive_prime_power lists
+    # exactly the fields the row's exponents name, and every row names one
     for dK in (-3, -4):
         for f in range(1, 13):
             order = OrderDisc.from_parts(dK, f)
             for ell in (2, 3, 5, 7, 11, 13):
-                L = _val(f, ell)
                 for a in range(1, 7):
                     for a_prime in range(a + 1):
-                        fields = _primitive_local(order, ell, a_prime, a)
-                        rational = [g for g in fields if not g.contains_K]
-                        others = [g for g in fields if g.contains_K]
-                        want = (
-                            _val(rational[0].m, ell) - L if rational else None,
-                            _val(others[0].m, ell) - L if others else None,
-                            _split_deep_level(order, ell, a),
+                        row = _primitive_row(order, ell, a_prime, a)
+                        assert row[:2] != (None, None)
+                        assert primitive_prime_power(order, ell, a_prime, a) == _row_fields(
+                            order, ell, row
                         )
-                        assert _primitive_row(order, ell, a_prime, a) == want
-                        assert want[:2] != (None, None)
-                        for g in fields:
-                            assert g.m == ell ** (_val(g.m, ell) - L) * f
+                        assert row[2] == _split_deep_level(order, ell, a)
+
+
+def test_primitive_casework_grid_is_pinned():
+    # SHA-256 of the published casework over a grid that reaches L = 6 at
+    # ell = 2 and every branch of the exponent table
+    h = hashlib.sha256()
+    for dK in (-3, -4):
+        for f in range(1, 65):
+            order = OrderDisc.from_parts(dK, f)
+            for ell in (2, 3, 5, 7, 11, 13):
+                for a in range(1, 16):
+                    for a_prime in range(a + 1):
+                        h.update(repr(primitive_prime_power(order, ell, a_prime, a)).encode())
+    assert h.hexdigest() == "f1754cfea635c1fdbaa17c2c17d3c7f1766296ab14f6223de5a90adea6a37eda"
+
+
+def test_refused_delta_K_is_not_cached():
+    # the casework builds no field, so it checks delta_K itself before a row
+    # can be cached
+    order = OrderDisc.from_parts(-7, 1)
+    _primitive_row.cache_clear()
+    with pytest.raises(ValidationError):
+        primitive_X0MN(order, 1, 12)
+    with pytest.raises(ValidationError):
+        primitive_prime_power(order, 2, 0, 2)
+    assert _primitive_row.cache_info().currsize == 0
 
 
 def test_fiber_sweep_grid_is_pinned():

@@ -12,7 +12,7 @@ GRID = [
     (dK, ell, f0, L, a)
     for dK in (-3, -4)
     for ell in (2, 3, 5)
-    for f0 in (1, 2, 3)
+    for f0 in (1, 2, 3, 15)
     if f0 % ell
     for L in (0, 1, 2)
     for a in range(1, 5 - L)
