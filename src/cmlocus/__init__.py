@@ -28,10 +28,9 @@ _HOME = {
         "graph",
     ),
     **dict.fromkeys(
-        ("ClosedPointClass", "FiberReport", "PrimeLocalDatum",
-         "closed_point_classes", "count_fiber_X0MN", "fiber_X0MN",
+        ("ClosedPointClass", "FiberReport", "PrimeLocalDatum", "fiber_X0MN",
          "lift_residue_prime_power", "primitive_prime_power", "primitive_X0MN",
-         "residue_X0MN", "x1_fiber", "x_nn_residue"),
+         "x1_fiber", "x_nn_residue"),
         "locus",
     ),
 }

@@ -206,7 +206,10 @@ def psi(n: int) -> int:
 
 
 def valuation(n: int, ell: int) -> int:
-    """ord_ell(n) for n >= 1."""
+    """ord_ell(n) for n >= 1 and ell >= 2; anything else would never return
+    (n = 0, ell = 1 or -1) or divide by zero (ell = 0), so it is refused."""
+    if n < 1 or ell < 2:
+        raise ValidationError(f"valuation needs n >= 1 and ell >= 2, got n={n}, ell={ell}")
     v = 0
     while n % ell == 0:
         v += 1

@@ -165,7 +165,8 @@ def _parse_symbol(text: str, dk: int):
 
     t = text.strip().replace("(", ":").replace(")", "")
     base, _, m = t.partition(":")
-    if base not in ("Q", "K") or not m.isdigit():
+    # isdecimal, not isdigit: int() refuses a digit such as a superscript
+    if base not in ("Q", "K") or not m.isdecimal():
         raise ValidationError(f"cannot parse field symbol {text!r} (use K:6 or Q:10)")
     return FieldSymbol(base, int(m), dk)
 
@@ -176,10 +177,12 @@ def _cmd_rcf(args) -> int:
     if args.op == "compose":
         if args.conductors is None:
             raise _UsageError("rcf compose needs --conductors")
-        factors = [
-            FieldSymbol("K", int(m), args.dk)
-            for m in args.conductors.split(",")
-        ]
+        parts = [m.strip() for m in args.conductors.split(",")]
+        if not all(m.isdecimal() for m in parts):
+            raise ValidationError(
+                f"cannot parse conductors {args.conductors!r} (use a comma list such as 2,3)"
+            )
+        factors = [FieldSymbol("K", int(m), args.dk) for m in parts]
         res = compose_rcf(factors)
         payload = {
             "closure": _field_json(res.closure),

@@ -2,9 +2,10 @@
 point counts, primitive residue fields and degrees, and the transfer to
 X1(M,N).
 
-Conductor-1 orders (the two maximal orders with extra units) go through
-dedicated residue-field rules; all larger orders inside the same
-two fields go through the compositum/tensor algebra.
+Each prime's path table gives rows of integers (``_prime_rows``), and
+``_folds`` combines one row per prime: conductor-1 orders (the two maximal
+orders with extra units) by dedicated residue-field rules, larger orders
+inside the same two fields by the lcm of the lifted conductors.
 """
 
 from collections import namedtuple
@@ -35,7 +36,7 @@ from .fields import (
     rcf_rel_degree,
     unit_count,
 )
-from .tables import PathClass, class_d, class_e, path_classes
+from .tables import PathClass, path_classes
 
 
 ClosedPointClass = namedtuple(
@@ -91,22 +92,6 @@ class PrimeLocalDatum(namedtuple("PrimeLocalDatum", "ell a_prime a descents cont
         return self.descents if self.conductor_exp is None else self.conductor_exp
 
 
-def closed_point_classes(order: OrderDisc, ell: int, a: int) -> list[ClosedPointClass]:
-    """The fiber of X0(ell^a) -> X(1) over the CM point of ``order``."""
-    out = []
-    for cls in path_classes(order, ell, a):
-        out.append(
-            ClosedPointClass(
-                cls.field,
-                class_d(order, cls),
-                class_e(order, cls),
-                cls.count,
-                cls.bhd,
-            )
-        )
-    return sorted(out, key=_class_key)
-
-
 def _class_key(c: ClosedPointClass):
     return (c.field.base, c.field.m, c.path_type or (0, 0, 0))
 
@@ -155,30 +140,53 @@ def lift_residue_prime_power(
     if ell**ap == 2 and order.delta % 2 == 0:
         # Scalarizing the 2-torsion adjoins the 2-division field of the
         # source curve; that extension is real except when a surface
-        # horizontal step of a -4 f^2 tower separates the two descents.
+        # horizontal step of a -4 f^2 tower separates the two descents, or
+        # when the class starts by ascending (``_ascending_K_lifts``).
         m = lcm(2 * f, downstairs_field.m)
         if (
             a >= 2
             and dK == -4
             and order.ell_valuation(2) == 0
             and datum.horizontal > 0
-        ):
+        ) or _ascending_K_lifts(order, datum, 1):
             return K(m, dK)
         return FieldSymbol(downstairs_field.base, m, dK)
     return K(lcm(ell**ap * f, downstairs_field.m), dK)
 
 
-def residue_X0MN(order: OrderDisc, M: int, N: int, data) -> FieldSymbol:
-    """Residue field on X0(M,N) from per-prime downstairs data."""
-    _check_data(M, N, data)
-    return _residue(order, M, data)
+def _ascending_K_lifts(order: OrderDisc, datum: PrimeLocalDatum, count: int) -> int:
+    """How many of ``count`` rational points of one class on X0(2^a) lift to
+    a point of X0(2, 2^a) with field K(m) rather than two with field Q(m),
+    for an even delta and a class that starts by ascending (b >= 1, no
+    horizontal step) with field Q(m), m > f.
 
-
-def count_fiber_X0MN(order: OrderDisc, M: int, N: int, data) -> int:
-    """Number of points of X0(M,N) above a combination of downstairs
-    classes (all sharing one residue field)."""
-    _check_data(M, N, data)
-    return _combination(order, M, data)[2]
+    X0(2, 2^a) is X0(2^(a+1)) by (E, C, Q) -> (E/<Q>, E/<Q> -> E -> E/C).
+    Here C[2] is the ascending kernel, so Q spans one of the two descending
+    lines, and the lift of a (b, 0, d) path at conductor f is a (b + 1, 0, d)
+    path at conductor 2f, in the tables of 2 at L + 1.  Below the top b (L
+    over delta_K = -4, L - 1 over -3) that path is a K-class of count 1
+    (type V3 over -4, V4 over -3), so every point lifts to K(m).  At the top
+    it is the mixed type (VI3 over -4, V3 over -3) at L + 1, whose K-points
+    exceed twice the class's own (each of which lifts to two) by one fewer
+    than the class's rational points: one of the two of VI3 and V3, none of
+    the one of VI1 (L = 1) and of V1 over -3 at L = 2.  In the ring: on
+    E[2] = O/2O = F2[eps], c is trivial and alpha = x + y tau swaps the two
+    lines other than C[2] exactly when y is odd, so a lift holds K exactly
+    when "y odd" and "not in the Cartan" agree on the stabilizer of C.
+    ``orbits.fiber_orbits`` checks the rule.
+    """
+    if (
+        datum.ell**datum.a_prime != 2
+        or order.delta % 2
+        or datum.contains_K
+        or datum.horizontal
+        or datum.descents == datum.a
+        or datum.field_exp == 0
+    ):
+        return 0
+    L = order.ell_valuation(2)
+    top = L if order.delta_K == -4 else L - 1
+    return count if datum.a - datum.descents < top else count - 1
 
 
 def _check_divides(M, N):
@@ -187,85 +195,12 @@ def _check_divides(M, N):
         raise ValidationError(f"need M | N, got M={M}, N={N}")
 
 
-def _check_data(M, N, data):
-    """The public edge: M | N and one datum per prime ell of N, carrying
-    (a', a) = (v_ell(M), v_ell(N))."""
-    _check_divides(M, N)
-    want = sorted((ell, valuation(M, ell), a) for ell, a in factorize(N).items())
-    if sorted((d.ell, d.a_prime, d.a) for d in data) != want:
-        raise ValidationError(
-            f"data do not fit X0({M},{N}): need one datum per prime ell of N "
-            "with (a', a) = (v_ell(M), v_ell(N))"
-        )
-
-
-# The unchecked core: ``data`` holds one datum per prime of the level, as
-# ``fiber_X0MN`` builds them and ``_check_data`` admits them.
-
-
-def _residue(order: OrderDisc, M: int, data) -> FieldSymbol:
-    """Residue field on X0(M,N); with M = 1 and f = 1 this is the X0(N)
-    rule of the maximal orders."""
-    dK = order.delta_K
-    if order.f != 1:
-        return _combined_field(order, data, lifted=M != 1)
-    m = 1
-    if M == 1:
-        for d in data:
-            m *= d.ell**d.descents
-        return K(m, dK) if any(d.split_surface_edge for d in data) else Q(m, dK)
-    for d in data:
-        m *= d.ell ** max(d.a_prime, d.descents)
-    if M == 2 and order.delta == -4:
-        d1 = next(d for d in data if d.ell == 2)
-        if d1.a == 1 or d1.purely_descending:
-            base_K = any(d.contains_K for d in data if d.ell != 2)
-            return K(m, dK) if base_K else Q(m, dK)
-    return K(m, dK)
-
-
-def _combined_field(order: OrderDisc, data, lifted: bool) -> FieldSymbol:
-    """Tensor-compiled field over Q(f) for conductors f > 1."""
-    f, dK = order.f, order.delta_K
-    fields = []
-    for d in data:
-        down = FieldSymbol(
-            "K" if d.contains_K else "Q", d.ell**d.field_exp * f, dK
-        )
-        fields.append(lift_residue_prime_power(order, d, down) if lifted else down)
-    m = f
-    for fld in fields:
-        m = lcm(m, fld.m)
-    if any(fld.contains_K for fld in fields):
-        return K(m, dK)
-    return Q(m, dK)
-
-
-def _combination(order: OrderDisc, M: int, data):
-    """(residue field, ramification index e, point count) of X0(M,N) above
-    one combination of downstairs classes, in one pass."""
-    s = sum(1 for d in data if d.contains_K)
-    field_up = _residue(order, M, data)
-    # over X0(N) itself the field and e are those of the downstairs points
-    field_down = field_up if M == 1 else _residue(order, 1, data)
-    if order.f == 1:
-        w2 = unit_count(order.delta_K) // 2
-        e_down = 1 if all(d.descents == 0 for d in data) else w2
-        e_up = w2 if M >= 2 else e_down
-    else:
-        e_down = e_up = 1
-    num = 2 ** max(s - 1, 0) * M * euler_phi(M) * e_down * field_degree(field_down)
-    den = e_up * field_degree(field_up)
-    if num % den != 0:
-        raise ValidationError("non-integral point count: inconsistent data")
-    return field_up, e_up, num // den
-
-
 @lru_cache(maxsize=2048, typed=True)
 def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
     """One prime's rows of the fiber, one per class of ``classes`` =
-    path_classes(order, ell, a); the caller reads that table itself, so each
-    fiber reads each prime's table once.
+    path_classes(order, ell, a), or two where the class's points lift apart;
+    the caller reads that table itself, so each fiber reads each prime's
+    table once.
 
     A row is the class's local contribution as plain integers: (multiplicity,
     path shape, downstairs conductor factor, its K flag, lifted conductor
@@ -273,7 +208,8 @@ def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
     descending" flag of the M = 2, delta = -4 rule).  Over a maximal order the
     factors are ell^descents with split_surface_edge, and ell^max(a', descents)
     with K (the X0(M,N) rule for M >= 2); for f > 1 they are the conductors of
-    ``_combined_field``'s downstairs field and of its lift.
+    the downstairs field, Q(ell^field_exp f) or K(ell^field_exp f), and of its
+    lift.
     """
     f, dK = order.f, order.delta_K
     rows = []
@@ -281,25 +217,35 @@ def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
         d = _datum(order, ell, a_prime, a, cls)
         if f == 1:
             down = (ell**d.descents, d.split_surface_edge)
-            up = (ell ** max(a_prime, d.descents), True)
+            ups = [(cls.count, ell ** max(a_prime, d.descents), True)]
         else:
             field = FieldSymbol("K" if d.contains_K else "Q", ell**d.field_exp * f, dK)
             lifted = lift_residue_prime_power(order, d, field)
             down = (field.m, field.contains_K)
-            up = (lifted.m, lifted.contains_K)
-        rows.append((cls.count, cls.bhd, *down, *up, d.contains_K, d.descents > 0,
-                     a == 1 or d.purely_descending))
+            # a class whose points lift apart takes one row per lifted field
+            k = _ascending_K_lifts(order, d, cls.count)
+            ups = [(cls.count - k, lifted.m, lifted.contains_K), (k, lifted.m, True)]
+        for mult, m_up, k_up in ups:
+            if mult:
+                rows.append((mult, cls.bhd, *down, m_up, k_up, d.contains_K, d.descents > 0,
+                             a == 1 or d.purely_descending))
     return tuple(rows)
 
 
 def _folds(order: OrderDisc, M: int, per_prime):
     """((contains_K, m, e, tag), count, multiplicity) of each combination of
-    the per-prime rows, in ``product`` order: the rule of ``_combination``
-    folded on integers, with each field kept as its K flag and conductor m
-    and its degree read as d(m) = rcf_rel_degree(delta_K, m), doubled for K.
+    the per-prime rows, in ``product`` order, folded on integers.
 
-    The conductor factors of a maximal order are coprime prime powers, so
-    ``lcm`` from f is their product there.
+    Downstairs (on X0(N)) and lifted (on X0(M,N)) alike, a combination's
+    field holds K when any of its rows does, and its conductor m is the lcm
+    of the rows' from f (their product over a maximal order, where they are
+    coprime prime powers); its degree is d(m) = rcf_rel_degree(delta_K, m),
+    doubled for K.  Over a maximal order with M >= 2 the lift always holds
+    K, except on X0(2, 2^a) over delta = -4 when the ell = 2 class has a = 1
+    or descends purely; then K comes from the other primes alone.  The count
+    is 2^(s-1) M phi(M) e_down deg_down / (e_up deg_up), with s the number
+    of downstairs classes that hold K.  ``orbits.fiber_orbits`` is the
+    independent check of this rule.
     """
     f, dK = order.f, order.delta_K
     w2 = unit_count(dK) // 2 if f == 1 else 1

@@ -9,6 +9,7 @@ from cmlocus.arith import (
     kronecker,
     psi,
     split_discriminant,
+    valuation,
 )
 
 
@@ -108,6 +109,18 @@ def test_order_disc_accessors():
     od = OrderDisc.from_parts(-3, 12)
     assert od.ell_valuation(2) == 2
     assert od.ell_valuation(3) == 1
+
+
+def test_valuation_refuses_what_it_cannot_count():
+    # ell in {1, -1} or n = 0 never left the loop, and ell = 0 divided by zero
+    assert valuation(48, 2) == 4 and valuation(7, 3) == 0
+    od = OrderDisc.from_parts(-4, 2)
+    for ell in (1, -1, 0, -2):
+        with pytest.raises(ValidationError):
+            od.ell_valuation(ell)
+    for n, ell in ((0, 2), (-8, 2), (0, 1)):
+        with pytest.raises(ValidationError):
+            valuation(n, ell)
 
 
 def test_factorize_returns_a_fresh_dict():

@@ -228,6 +228,29 @@ def test_deep_primitive_casework_is_pinned(capsys, argv):
     assert run(capsys, *argv) == (0, DEEP_PRIMITIVE[argv], "")
 
 
+def _fiber_class(base, m, d, e, count):
+    return {"field": {"base": base, "m": m, "canonicalM": m}, "d": d, "e": e, "count": count}
+
+
+def test_deep_two_adic_lift_is_pinned(capsys):
+    # X0(2, 8) over delta = -64: the V1 class (1, 0, 2) lifts to one K(8)
+    # point, not two Q(8) points, as the Galois orbits of the pairs show
+    argv = ("fiber", "--dk", "-4", "--f", "4", "--M", "2", "--N", "8", "--format", "json")
+    want = json.dumps({
+        "curve": {"M": 2, "N": 8},
+        "order": {"deltaK": -4, "f": 4},
+        "classes": [
+            _fiber_class("K", 8, 4, 1, 1),
+            _fiber_class("Q", 8, 2, 1, 1),
+            _fiber_class("Q", 8, 2, 1, 1),
+            _fiber_class("Q", 32, 8, 1, 2),
+        ],
+        "checkTotal": 24,
+        "psiCheck": True,
+    }, indent=2) + "\n"
+    assert run(capsys, *argv) == (0, want, "")
+
+
 def test_graph_cli_and_dot(capsys):
     code, out, _ = run(capsys, "graph", "--dk", "-4", "--l", "2", "--depth", "2")
     assert code == 0 and "level 2: 2 vertices" in out
@@ -261,6 +284,9 @@ def test_exit_codes(capsys):
     assert code == 2 and "validation" in err
     code, _, err = run(capsys, "graph", "--dk", "-4", "--l", "13", "--depth", "12")
     assert code == 2 and "exceeds the limit" in err
+    for conductors in ("2,x", "2,,3"):
+        code, _, err = run(capsys, "rcf", "compose", "--dk", "-3", "--conductors", conductors)
+        assert code == 2 and "cannot parse conductors" in err
 
 
 def test_version(capsys):
@@ -286,13 +312,12 @@ def test_fiber_at_large_prime_level(capsys):
 PUBLIC_NAMES = [
     "ClosedPointClass", "CompositumResult", "FiberReport", "FieldSymbol",
     "GraphPath", "IsogenyGraph", "K", "OrderDisc", "PrimeLocalDatum", "Q",
-    "arith", "build_graph", "class_number", "closed_point_classes",
-    "compose_rcf", "conjugation_graph", "count_fiber_X0MN", "double_cover",
-    "enumerate_paths", "euler_phi", "fiber_X0MN", "field_degree", "fields",
-    "forms", "geometric_points", "graph", "in_S", "kronecker",
+    "arith", "build_graph", "class_number", "compose_rcf", "conjugation_graph",
+    "double_cover", "enumerate_paths", "euler_phi", "fiber_X0MN", "field_degree",
+    "fields", "forms", "geometric_points", "graph", "in_S", "kronecker",
     "lift_residue_prime_power", "locus", "primitive_X0MN",
     "primitive_prime_power", "psi", "rcf_rel_degree", "reduced_forms",
-    "residue_X0MN", "split_discriminant", "tables", "tensor_rcf", "to_dot",
+    "split_discriminant", "tables", "tensor_rcf", "to_dot",
     "two_torsion_count", "x1_fiber", "x_nn_residue",
 ]
 

@@ -15,10 +15,8 @@ from cmlocus import (
     PrimeLocalDatum,
     build_graph,
     class_number,
-    closed_point_classes,
     compose_rcf,
     conjugation_graph,
-    count_fiber_X0MN,
     double_cover,
     enumerate_paths,
     euler_phi,
@@ -32,7 +30,6 @@ from cmlocus import (
     psi,
     rcf_rel_degree,
     reduced_forms,
-    residue_X0MN,
     split_discriminant,
     tensor_rcf,
     two_torsion_count,
@@ -76,8 +73,7 @@ CASES = {
     "double_cover": (double_cover, (-4, 2, 1, 2)),
     "conjugation_graph": (conjugation_graph, (-3, 3, 1, 2)),
     "enumerate_paths": (lambda s, a: enumerate_paths(build_graph(-4, 5, 1, 3), s, a), (0, 2)),
-    "closed_point_classes": (lambda f, ell, a: closed_point_classes(_order(-4, f), ell, a),
-                             (3, 5, 2)),
+    "fiber_X0MN_prime_power": (lambda f, N: fiber_X0MN(_order(-4, f), 1, N), (3, 25)),
     "primitive_prime_power": (
         lambda f, ell, ap, a: primitive_prime_power(_order(-4, f), ell, ap, a), (3, 5, 1, 2)
     ),
@@ -86,11 +82,6 @@ CASES = {
         lambda ell, ap, a, d: lift_residue_prime_power(_order(-4, 1), _datum(ell, ap, a, d),
                                                        cmlocus.Q(4, -4)),
         (2, 1, 2, 2),
-    ),
-    "residue_X0MN": (lambda M, N: residue_X0MN(_order(-4, 1), M, N, [_datum(2, 1, 3, 3)]),
-                     (2, 8)),
-    "count_fiber_X0MN": (
-        lambda M, N: count_fiber_X0MN(_order(-4, 1), M, N, [_datum(2, 1, 3, 3)]), (2, 8)
     ),
     "fiber_X0MN": (lambda dK, f, M, N: fiber_X0MN(_order(dK, f), M, N), (-4, 3, 2, 10)),
     "primitive_X0MN": (lambda dK, f, M, N: primitive_X0MN(_order(dK, f), M, N), (-3, 2, 3, 45)),

@@ -1,24 +1,21 @@
 import hashlib
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmlocus.arith import OrderDisc, ValidationError, _factor_items, factorize, psi
-from cmlocus.fields import FieldSymbol, K, Q, embeds, field_degree, is_isomorphic, rcf_rel_degree
+from cmlocus.fields import K, Q, embeds, field_degree, is_isomorphic, rcf_rel_degree
 from cmlocus.locus import (
     PrimeLocalDatum,
-    count_fiber_X0MN,
     fiber_X0MN,
     lift_residue_prime_power,
     primitive_X0MN,
     primitive_prime_power,
-    residue_X0MN,
     x1_fiber,
     x_nn_residue,
-    _combination,
     _datum,
-    _folds,
     _prime_rows,
     _primitive_row,
     _split_deep_level,
@@ -48,51 +45,74 @@ def test_lift_examples():
     assert str(lift_residue_prime_power(O3, d3, Q(9, -3))) == "K(9)"
 
 
+def _by_path(report):
+    # the classes of a one-prime fiber by their path shape (b, h, d)
+    return {c.path_type: (str(c.field), c.d, c.e, c.count) for c in report.classes}
+
+
+def _by_field(report):
+    # the counts of a fiber's classes by (field, e)
+    return {(str(c.field), c.e): c.count for c in report.classes}
+
+
 def test_residue_x0n_examples():
-    desc4 = PrimeLocalDatum(2, 0, 2, 2, False, False, True)
-    assert str(residue_X0MN(O4, 1, 4, [desc4])) == "Q(4)"
-    loop5 = PrimeLocalDatum(5, 0, 1, 0, True, True, False)
-    assert str(residue_X0MN(O4, 1, 5, [loop5])) == "K(1)"
-    both = [
-        PrimeLocalDatum(2, 0, 1, 1, False, False, True),
-        PrimeLocalDatum(3, 0, 1, 1, False, False, True),
-    ]
-    field = residue_X0MN(O3, 1, 6, both)
-    assert str(field) == "Q(6)" and field_degree(field) == 3  # checked vs d(6)
+    assert _by_path(fiber_X0MN(O4, 1, 4))[(0, 0, 2)][0] == "Q(4)"  # pure descent
+    assert _by_path(fiber_X0MN(O4, 1, 5))[(0, 1, 0)][0] == "K(1)"  # split surface edge
+    # one descent at 2 and one at 3: Q(6), degree d(6) = 3
+    (six,) = [c for c in fiber_X0MN(O3, 1, 6).classes if c.field.m == 6]
+    assert str(six.field) == "Q(6)" and field_degree(six.field) == 3 and six.d == 3
 
 
 def test_residue_x0mn_examples():
-    pd = PrimeLocalDatum(2, 1, 3, 3, False, False, True)
-    assert str(residue_X0MN(O4, 2, 8, [pd])) == "Q(8)"
-    hd = PrimeLocalDatum(2, 1, 3, 2, False, False, False, horizontal=1)
-    assert str(residue_X0MN(O4, 2, 8, [hd])) == "K(4)"
-    d9 = PrimeLocalDatum(3, 1, 2, 2, False, False, True)
-    assert str(residue_X0MN(O3, 3, 9, [d9])) == "K(9)"
+    assert _by_path(fiber_X0MN(O4, 2, 8))[(0, 0, 3)][0] == "Q(8)"
+    assert _by_path(fiber_X0MN(O4, 2, 8))[(0, 1, 2)][0] == "K(4)"
+    assert _by_path(fiber_X0MN(O3, 3, 9))[(0, 0, 2)][0] == "K(9)"
 
 
 def test_count_fiber_x0n():
-    split = PrimeLocalDatum(5, 0, 1, 0, True, True, False)
-    ram = PrimeLocalDatum(2, 0, 1, 1, False, False, True)
-    split13 = PrimeLocalDatum(13, 0, 1, 0, True, True, False)
-    assert count_fiber_X0MN(O4, 1, 2, [ram]) == 1  # s = 0
-    assert count_fiber_X0MN(O4, 1, 10, [split, ram]) == 1  # s = 1
-    assert count_fiber_X0MN(O4, 1, 65, [split, split13]) == 2  # s = 2
-    # s = 3 -> 4 points
-    split17 = PrimeLocalDatum(17, 0, 1, 0, True, True, False)
-    assert count_fiber_X0MN(O4, 1, 1105, [split, split13, split17]) == 4
+    # the K(1) points of the all-horizontal combination number 2^(s-1), s
+    # the count of split primes; a ramified descent keeps s = 0 at X0(2)
+    assert _by_path(fiber_X0MN(O4, 1, 2))[(0, 0, 1)][3] == 1  # s = 0
+    assert _by_field(fiber_X0MN(O4, 1, 10))[("K(2)", 2)] == 1  # s = 1
+    assert _by_field(fiber_X0MN(O4, 1, 65))[("K(1)", 1)] == 2  # s = 2
+    assert _by_field(fiber_X0MN(O4, 1, 1105))[("K(1)", 1)] == 4  # s = 3
 
 
 def test_count_fiber_x0mn_examples():
-    desc = PrimeLocalDatum(2, 1, 1, 1, False, False, True)
-    assert count_fiber_X0MN(O4, 2, 2, [desc]) == 2
     # X(2) over J_-4 is three rational points, each ramified with e = 2
-    loop = PrimeLocalDatum(2, 1, 1, 0, False, False, False, horizontal=1)
-    assert count_fiber_X0MN(O4, 2, 2, [loop]) == 1
-    pd8 = PrimeLocalDatum(2, 1, 3, 3, False, False, True)
-    # full-fiber cross-check pins this at 2 (2*4*2 + 2*4*1 = 24 = psi(8)*2)
-    assert count_fiber_X0MN(O4, 2, 8, [pd8]) == 2
-    hd8 = PrimeLocalDatum(2, 1, 3, 2, False, False, False, horizontal=1)
-    assert count_fiber_X0MN(O4, 2, 8, [hd8]) == 1
+    assert _by_path(fiber_X0MN(O4, 2, 2)) == {
+        (0, 0, 1): ("Q(2)", 1, 2, 2),
+        (0, 1, 0): ("Q(2)", 1, 2, 1),
+    }
+    # 2*4*2 + 2*4*1 = 24 = psi(8) * 2
+    assert _by_path(fiber_X0MN(O4, 2, 8)) == {
+        (0, 0, 3): ("Q(8)", 4, 2, 2),
+        (0, 1, 2): ("K(4)", 4, 2, 1),
+    }
+
+
+def test_deep_two_adic_lift_examples():
+    # on X0(2, 2^a) over an even delta, a rational class that starts by
+    # ascending lifts to K(m) at depth; X0(2, 8) over delta = -64 has one
+    # K(8) point with d = 4 where two Q(8) points with d = 2 stood before
+    order = OrderDisc.from_parts(-4, 4)
+    assert [(str(c.field), c.d, c.e, c.count, c.path_type)
+            for c in fiber_X0MN(order, 2, 8).classes] == [
+        ("K(8)", 4, 1, 1, (1, 0, 2)),
+        ("Q(8)", 2, 1, 1, (2, 0, 1)),
+        ("Q(8)", 2, 1, 1, (2, 1, 0)),
+        ("Q(32)", 8, 1, 2, (0, 0, 3)),
+    ]
+    # the two rational points of VI3 over -64 on X0(2, 32) lift apart: one
+    # to K(8), one to two Q(8) points
+    vi3 = [(str(c.field), c.d, c.count) for c in fiber_X0MN(order, 2, 32).classes
+           if c.path_type == (2, 0, 3)]
+    assert vi3 == [("K(8)", 4, 1), ("Q(8)", 2, 2)]
+    # over -3 the class V1 lifts to K(m) from L = 3 on, and stays Q(m) at L = 2
+    assert _by_path(fiber_X0MN(OrderDisc.from_parts(-3, 8), 2, 8))[(1, 0, 2)] == (
+        "K(16)", 4, 1, 1)
+    assert _by_path(fiber_X0MN(OrderDisc.from_parts(-3, 4), 2, 8))[(1, 0, 2)] == (
+        "Q(8)", 2, 1, 2)
 
 
 def test_fiber_x0mn_examples():
@@ -149,34 +169,26 @@ def test_cold_and_warm_caches_agree():
 
 
 def test_fields_in_moduli_band():
-    # every composite residue field sits between Q and K of the conductor
-    # assembled from its prime-local lifts
-    for order in (O4, O3, OrderDisc.from_parts(-4, 3)):
+    # every composite residue field over a maximal order sits between Q and K
+    # of the conductor assembled from the prime-local lifts of one class per
+    # prime
+    for order in (O4, O3):
         for M, N in [(1, 12), (2, 20), (1, 45), (3, 45), (2, 2), (4, 8)]:
-            if N % M:
-                continue
             fac = factorize(N)
-            primes = sorted(fac)
-            per = [path_classes(order, ell, fac[ell]) for ell in primes]
-            for combo in product(*per):
-                data = [
-                    _datum(order, ell, _val(M, ell), fac[ell], cls)
-                    for ell, cls in zip(primes, combo)
-                ]
-                field = residue_X0MN(order, M, N, data)
-                m = 1
-                for d in data:
-                    lifted = lift_residue_prime_power(
-                        order,
-                        d,
-                        K(d.ell**d.field_exp * order.f, order.delta_K)
-                        if d.contains_K
-                        else Q(d.ell**d.field_exp * order.f, order.delta_K),
-                    )
-                    m *= d.ell ** _val(lifted.m, d.ell)
-                lo, hi = Q(m, order.delta_K), K(m, order.delta_K)
-                if order.f == 1:
-                    assert embeds(lo, field) and embeds(field, hi)
+            per_prime = []
+            for ell in sorted(fac):
+                lifts = []
+                for cls in path_classes(order, ell, fac[ell]):
+                    d = _datum(order, ell, _val(M, ell), fac[ell], cls)
+                    lifted = lift_residue_prime_power(order, d, cls.field)
+                    lifts.append(ell ** _val(lifted.m, ell))
+                per_prime.append(lifts)
+            conductors = {prod(c) for c in product(*per_prime)}
+            for c in fiber_X0MN(order, M, N).classes:
+                assert any(
+                    embeds(Q(m, order.delta_K), c.field) and embeds(c.field, K(m, order.delta_K))
+                    for m in conductors
+                ), (order, M, N, c)
 
 
 def _val(n, ell):
@@ -194,25 +206,8 @@ def test_data_validation():
         PrimeLocalDatum(5, 2, 1, 0, False, False, False)  # a' > a
     with pytest.raises(ValidationError):
         PrimeLocalDatum(2, 1, 3, 1, False, False, True)  # purely descending, d < a
-    loop5 = PrimeLocalDatum(5, 0, 1, 0, True, True, False)
     with pytest.raises(ValidationError):
         fiber_X0MN(O4, 3, 4)
-    # the residue and count rules check their data against (M, N)
-    desc2 = PrimeLocalDatum(2, 1, 1, 1, False, False, True)
-    bad = [
-        (1, 7, [loop5]),  # level-7 curve from ell = 5 data
-        (2, 10, [loop5]),  # no datum for ell = 2
-        (1, 25, [loop5]),  # a = 1, but v_5(25) = 2
-        (1, 25, [loop5, loop5]),  # one datum per prime, each with a = v_ell(N)
-        (1, 10, [desc2, loop5]),  # a' = 1, but v_2(1) = 0
-        (2, 2, [desc2, desc2]),  # one datum per prime
-        (1, 2, [desc2]),  # a' = 1 on X0(2)
-        (1, 4, [PrimeLocalDatum(4, 0, 1, 1, False, False, True)]),  # composite ell
-    ]
-    for M, N, data in bad:
-        for call in (residue_X0MN, count_fiber_X0MN):
-            with pytest.raises(ValidationError):
-                call(O4, M, N, data)
     for ell, a_prime, a in ((4, 0, 2), (6, 1, 1)):  # composite ell
         with pytest.raises(ValidationError):
             primitive_prime_power(O4, ell, a_prime, a)
@@ -260,42 +255,6 @@ def test_psi_identity_property(dK, f, N, pick):
         assert c.e in (1, w_K // 2)
         total += c.e * c.d * c.count
     assert total == _psi_phi(N)[0] * M * _psi_phi(M)[1]
-
-
-def test_integer_fold_matches_the_symbol_route():
-    # every combination the fiber loop folds on integers gives the (field,
-    # e, count) that _combination computes from the same classes' data, and
-    # the report gives the merged class of that field its degree
-    branches = {"M = 2, delta = -4": 0, "f > 1 lifted": 0, "f > 1 lifted at 2": 0}
-    for dK in (-3, -4):
-        for f in range(1, 7):
-            order = OrderDisc.from_parts(dK, f)
-            base_degree = rcf_rel_degree(dK, f)
-            for N in range(2, 61):
-                fac = factorize(N)
-                for M in (m for m in range(1, N + 1) if N % m == 0):
-                    per_prime, per_data = [], []
-                    for ell, a in sorted(fac.items()):
-                        classes = path_classes(order, ell, a)
-                        per_prime.append(_prime_rows(order, ell, _val(M, ell), a, classes))
-                        per_data.append([_datum(order, ell, _val(M, ell), a, c) for c in classes])
-                    folds = list(_folds(order, M, per_prime))
-                    combos = list(product(*per_data))
-                    assert len(folds) == len(combos)
-                    degree_of = {(c.field, c.e, c.path_type): c.d
-                                 for c in fiber_X0MN(order, M, N).classes}
-                    for ((has_K, m, e, tag), count, _), data in zip(folds, combos):
-                        field = FieldSymbol("K" if has_K else "Q", m, dK)
-                        d = degree_of[(field, e, tag)]
-                        assert (field, e, count) == _combination(order, M, list(data))
-                        assert d * base_degree == field_degree(field)
-                        if M == 2 and order.delta == -4:
-                            two = data[0]
-                            branches["M = 2, delta = -4"] += two.a == 1 or two.purely_descending
-                        if f > 1 and M > 1:
-                            branches["f > 1 lifted"] += 1
-                            branches["f > 1 lifted at 2"] += M % 2 == 0
-    assert all(n > 0 for n in branches.values()), branches
 
 
 def _row_fields(order, ell, row):
@@ -351,9 +310,10 @@ def test_refused_delta_K_is_not_cached():
 
 
 def test_fiber_sweep_grid_is_pinned():
-    # SHA-256 of the reports over the benchmark's fiber_sweep grid, as the
-    # FieldSymbol fiber loop printed them; any change to a field, degree,
-    # count, class order or path shape shows here
+    # SHA-256 of the reports over the benchmark's fiber_sweep grid; any
+    # change to a field, degree, count, class order or path shape shows
+    # here.  Pinned after the deep 2-adic lift on X0(2, 2^a), which changed
+    # the 12 reports of delta_K = -4, f = 4, M = 2, N = 8k and no other
     h = hashlib.sha256()
     for dK in (-3, -4):
         for f in range(1, 7):
@@ -364,4 +324,4 @@ def test_fiber_sweep_grid_is_pinned():
                         reports = (fiber_X0MN(order, M, N), primitive_X0MN(order, M, N),
                                    x1_fiber(order, M, N))
                         h.update(repr(reports).encode())
-    assert h.hexdigest() == "ab6b28b32ed65f34ec62654d30840187498572328609fe1411817b9d6388a71c"
+    assert h.hexdigest() == "9050e78b328937556286b9f6b6ef9b7718bf546ffbe7d35ae4702dd2d14d1e42"

@@ -1,15 +1,20 @@
 import pytest
 
 from cmlocus.arith import OrderDisc, ValidationError, psi
-from cmlocus.locus import closed_point_classes
+from cmlocus.locus import fiber_X0MN
 from cmlocus.tables import path_classes
+
+
+def prime_power_classes(order, ell, a):
+    # the fiber of X0(ell^a): one class per table class, with its path shape
+    return fiber_X0MN(order, 1, ell**a).classes
 
 
 def fiber_summary(dK, f, ell, a):
     order = OrderDisc.from_parts(dK, f)
     return [
         (str(c.field), c.d, c.e, c.count)
-        for c in closed_point_classes(order, ell, a)
+        for c in prime_power_classes(order, ell, a)
     ]
 
 
@@ -38,7 +43,7 @@ def test_psi_sum_shallow(dK, ell):
     for f in range(1, 7):
         order = OrderDisc.from_parts(dK, f)
         for a in range(1, 6):
-            classes = closed_point_classes(order, ell, a)
+            classes = prime_power_classes(order, ell, a)
             assert sum(c.e * c.d * c.count for c in classes) == psi(ell**a)
 
 
@@ -49,18 +54,18 @@ def test_psi_sum_deep_towers(dK, ell):
     for L in range(7):
         order = OrderDisc.from_parts(dK, ell**L)
         for a in range(1, 8):
-            classes = closed_point_classes(order, ell, a)
+            classes = prime_power_classes(order, ell, a)
             assert sum(c.e * c.d * c.count for c in classes) == psi(ell**a)
 
 
 def test_ramification_rule():
     # e > 1 only over the maximal orders and only off the horizontal part
     order = OrderDisc.from_parts(-4, 1)
-    for c in closed_point_classes(order, 5, 2):
+    for c in prime_power_classes(order, 5, 2):
         b, h, d = c.path_type
         assert (c.e == 2) == (d > 0)
     order = OrderDisc.from_parts(-3, 2)
-    assert all(c.e == 1 for c in closed_point_classes(order, 5, 2))
+    assert all(c.e == 1 for c in prime_power_classes(order, 5, 2))
 
 
 def test_conductor_divisibility_invariant():
@@ -84,11 +89,11 @@ def test_conductor_divisibility_invariant():
 def test_rejects_bad_inputs():
     order = OrderDisc.from_parts(-4, 1)
     with pytest.raises(ValidationError):
-        closed_point_classes(order, 4, 1)
+        path_classes(order, 4, 1)
     with pytest.raises(ValidationError):
-        closed_point_classes(order, 2, 0)
+        path_classes(order, 2, 0)
     with pytest.raises(ValidationError):
-        closed_point_classes(OrderDisc.from_parts(-7, 1), 2, 1)
+        fiber_X0MN(OrderDisc.from_parts(-7, 1), 1, 2)
 
 
 def test_path_classes_are_a_shared_tuple():
