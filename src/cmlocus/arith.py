@@ -261,7 +261,9 @@ class OrderDisc(namedtuple("OrderDisc", "delta delta_K f")):
             raise ValidationError(
                 f"conductor mismatch: {self.f}^2 * {self.delta_K} != {self.delta}"
             )
-        if not is_fundamental(self.delta_K):
+        # -3 and -4, the two fields the fibers accept, are fundamental; any
+        # other delta_K takes the factorizing test
+        if self.delta_K not in (-3, -4) and not is_fundamental(self.delta_K):
             raise ValidationError(f"{self.delta_K} is not fundamental")
 
     @classmethod

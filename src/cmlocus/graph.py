@@ -268,11 +268,20 @@ def _mark_conjugation(g: IsogenyGraph):
         real_prev = [i for i, f in enumerate(g.surface_forms) if is_ambiguous(f)]
         _check_consistent(len(real_prev) == _rtor(g, 0), "ambiguous forms miss #Pic[2]")
 
+    # each vertex's up edge under (src, "up"), and the down edges from src
+    # to dst, in parallel order, under (src, dst): one pass over the edges
+    index: dict = {}
+    for e in g.edges.values():
+        if e.kind == "up":
+            index[(e.src, "up")] = e
+        elif e.kind == "down":
+            index.setdefault((e.src, e.dst), []).append(e)
+
     parent_of: dict[tuple[int, int], int] = {}
     children_of: dict[tuple[int, int], list[int]] = {}
     for m in range(1, g.depth + 1):
         for i in range(g.level_counts[m]):
-            up = next(e for e in g.out[Vertex(0, m, i)] if e.kind == "up")
+            up = index[(Vertex(0, m, i), "up")]
             parent_of[(m, i)] = up.dst.index
             children_of.setdefault((m - 1, up.dst.index), []).append(i)
 
@@ -305,7 +314,7 @@ def _mark_conjugation(g: IsogenyGraph):
             g.conj_v[Vertex(0, m, i)] = Vertex(0, m, conj_idx[i])
         real_prev = reals
 
-    _mark_edge_conjugation(g)
+    _mark_edge_conjugation(g, index)
 
 
 def _distribute_reals(g, m, real_parents, children_of, parent_of, r_here):
@@ -358,28 +367,19 @@ def _priority(g, level, reals):
     return out
 
 
-def _mark_edge_conjugation(g: IsogenyGraph):
+def _mark_edge_conjugation(g: IsogenyGraph, index: dict):
+    """Conjugate every edge; ``index`` is ``_mark_conjugation``'s edge index."""
     dK, ell = g.delta_K, g.ell
-    w2 = unit_count(dK) // 2
     for v, edges in list(g.out.items()):
         for e in edges:
             cv, cw = g.conj_v[e.src], g.conj_v[e.dst]
             if e.kind == "up":
-                target = next(x for x in g.out[cv] if x.kind == "up")
-                g.conj_e[e.eid] = target.eid
+                g.conj_e[e.eid] = index[(cv, "up")].eid
             elif e.kind == "down" and (e.src.level >= 1 or g.f0 > 1):
-                target = next(
-                    x
-                    for x in g.out[cv]
-                    if x.kind == "down" and x.dst == cw
-                )
-                g.conj_e[e.eid] = target.eid
+                g.conj_e[e.eid] = index[(cv, cw)][0].eid
             elif e.kind == "down":
                 # surface bundle over a maximal order
-                bundle = [
-                    x for x in g.out[cv] if x.kind == "down" and x.dst == cw
-                ]
-                bundle.sort(key=lambda x: x.parallel)
+                bundle = index[(cv, cw)]
                 if g.conj_v[e.dst] != e.dst:
                     g.conj_e[e.eid] = bundle[e.parallel].eid
                 elif dK == -4:

@@ -10,8 +10,7 @@ inside the same two fields by the lcm of the lifted conductors.
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
-from math import lcm, prod
+from math import lcm
 
 from .arith import (
     OrderDisc,
@@ -20,8 +19,8 @@ from .arith import (
     _check_int,
     _check_power,
     _check_prime,
+    _factor_pairs,
     euler_phi,
-    factorize,
     kronecker,
     psi,
     valuation,
@@ -204,12 +203,14 @@ def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
 
     A row is the class's local contribution as plain integers: (multiplicity,
     path shape, downstairs conductor factor, its K flag, lifted conductor
-    factor, its K flag, contains_K, descends, and the "a = 1 or purely
-    descending" flag of the M = 2, delta = -4 rule).  Over a maximal order the
-    factors are ell^descents with split_surface_edge, and ell^max(a', descents)
-    with K (the X0(M,N) rule for M >= 2); for f > 1 they are the conductors of
-    the downstairs field, Q(ell^field_exp f) or K(ell^field_exp f), and of its
-    lift.
+    factor, its K flag, contains_K, descends, and the lifted K flag of the
+    M = 2, delta = -4 rule: for ell = 2 that the class neither has a = 1 nor
+    descends purely, for odd ell contains_K).  The factors are powers of ell;
+    a field's conductor is f times their product over the primes.  Over a
+    maximal order they are ell^descents with split_surface_edge, and
+    ell^max(a', descents) with K (the X0(M,N) rule for M >= 2); for f > 1 they
+    are the ell-parts of the downstairs field, Q(ell^field_exp f) or
+    K(ell^field_exp f), and of its lift.
     """
     f, dK = order.f, order.delta_K
     rows = []
@@ -221,55 +222,72 @@ def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
         else:
             field = FieldSymbol("K" if d.contains_K else "Q", ell**d.field_exp * f, dK)
             lifted = lift_residue_prime_power(order, d, field)
-            down = (field.m, field.contains_K)
+            down = (ell**d.field_exp, field.contains_K)
             # a class whose points lift apart takes one row per lifted field
             k = _ascending_K_lifts(order, d, cls.count)
-            ups = [(cls.count - k, lifted.m, lifted.contains_K), (k, lifted.m, True)]
+            m_up = lifted.m // f
+            ups = [(cls.count - k, m_up, lifted.contains_K), (k, m_up, True)]
+        two_K = not (a == 1 or d.purely_descending) if ell == 2 else d.contains_K
         for mult, m_up, k_up in ups:
             if mult:
                 rows.append((mult, cls.bhd, *down, m_up, k_up, d.contains_K, d.descents > 0,
-                             a == 1 or d.purely_descending))
+                             two_K))
     return tuple(rows)
 
 
-def _folds(order: OrderDisc, M: int, per_prime):
-    """((contains_K, m, e, tag), count, multiplicity) of each combination of
-    the per-prime rows, in ``product`` order, folded on integers.
+def _folds(order: OrderDisc, M: int, scale: int, per_prime) -> dict:
+    """The fiber's classes as {(contains_K, m, e, tag, degree): count},
+    folded on integers from every combination of the per-prime rows, in the
+    order in which ``product`` over the rows first reaches each class;
+    scale = M phi(M) and degree = [field : Q].
 
     Downstairs (on X0(N)) and lifted (on X0(M,N)) alike, a combination's
-    field holds K when any of its rows does, and its conductor m is the lcm
-    of the rows' from f (their product over a maximal order, where they are
-    coprime prime powers); its degree is d(m) = rcf_rel_degree(delta_K, m),
-    doubled for K.  Over a maximal order with M >= 2 the lift always holds
-    K, except on X0(2, 2^a) over delta = -4 when the ell = 2 class has a = 1
-    or descends purely; then K comes from the other primes alone.  The count
-    is 2^(s-1) M phi(M) e_down deg_down / (e_up deg_up), with s the number
-    of downstairs classes that hold K.  ``orbits.fiber_orbits`` is the
+    field holds K when any of its rows does, and its conductor m is f times
+    the product of the rows' factors; its degree over Q is
+    d(m) = rcf_rel_degree(delta_K, m), doubled for K.  Over a maximal order
+    with M >= 2 the lift always holds K, except on X0(2, 2^a) over
+    delta = -4 when the ell = 2 class has a = 1 or descends purely; then K
+    comes from the other primes alone.  The count is
+    2^(s-1) M phi(M) e_down deg_down / (e_up deg_up), with s the number of
+    downstairs classes that hold K.  ``orbits.fiber_orbits`` is the
     independent check of this rule.
+
+    The rows of every prime but the last fold, prime by prime, into partial
+    states (multiplicity, the two factors and K flags, s, descends), one per
+    combination so far; a single prime's rows meet the one empty state.
     """
     f, dK = order.f, order.delta_K
     w2 = unit_count(dK) // 2 if f == 1 else 1
-    scale = M * euler_phi(M)
-    two_rule = M == 2 and order.delta == -4  # the ell = 2 rows come first
+    if M == 2 and order.delta == -4:
+        # every lifted row of a maximal order holds K; here each row lends
+        # the lift its flag of this rule instead
+        per_prime = [[(*r[:5], r[8], *r[6:]) for r in rows] for rows in per_prime]
+    states = [(1, 1, False, 1, False, 0, False)]
+    for rows in per_prime[:-1]:
+        states = [
+            (n * c, md * md2, kd or kd2, mu * mu2, ku or ku2, s + has_K, ds or ds2)
+            for n, md, kd, mu, ku, s, ds in states
+            for c, _, md2, kd2, mu2, ku2, has_K, ds2, _ in rows
+        ]
     single = len(per_prime) == 1
-    for combo in product(*per_prime):
-        counts, tags, m_down, k_down, m_up, k_up, has_K, descends, two = zip(*combo)
-        k_down, m_down = any(k_down), lcm(f, *m_down)
-        deg_down = rcf_rel_degree(dK, m_down) * (2 if k_down else 1)
-        e_down = w2 if any(descends) else 1
-        if M == 1:
-            k_up, m_up, deg_up, e_up = k_down, m_down, deg_down, e_down
-        else:
-            if two_rule and two[0]:
-                k_up = has_K[1:]
-            k_up, m_up = any(k_up), lcm(f, *m_up)
-            deg_up, e_up = rcf_rel_degree(dK, m_up) * (2 if k_up else 1), w2
-        s = sum(has_K)
-        num = 2 ** max(s - 1, 0) * scale * e_down * deg_down
-        den = e_up * deg_up
-        if num % den != 0:
-            raise ValidationError("non-integral point count: inconsistent data")
-        yield (k_up, m_up, e_up, tags[0] if single else None), num // den, prod(counts)
+    merged: dict = {}
+    for n, md, kd, mu, ku, s, ds in states:
+        for c, tag, md2, kd2, mu2, ku2, has_K, ds2, _ in per_prime[-1]:
+            k_down, m_down = kd or kd2, f * md * md2
+            deg_down = rcf_rel_degree(dK, m_down) * (2 if k_down else 1)
+            e_down = w2 if ds or ds2 else 1
+            if M == 1:
+                k_up, m_up, deg_up, e_up = k_down, m_down, deg_down, e_down
+            else:
+                k_up, m_up = ku or ku2, f * mu * mu2
+                deg_up, e_up = rcf_rel_degree(dK, m_up) * (2 if k_up else 1), w2
+            num = 2 ** max(s + has_K - 1, 0) * scale * e_down * deg_down
+            den = e_up * deg_up
+            if num % den != 0:
+                raise ValidationError("non-integral point count: inconsistent data")
+            key = (k_up, m_up, e_up, tag if single else None, deg_up)
+            merged[key] = merged.get(key, 0) + num // den * n * c
+    return merged
 
 
 def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
@@ -279,29 +297,27 @@ def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
     if N == 1:
         cls = ClosedPointClass(Q(f, dK), 1, 1, 1, (0, 0, 0))
         return FiberReport(M, N, order, (cls,), 1)
-    fac = factorize(N)
+    # each prime's table is read here, outside the cached _prime_rows: the
+    # perfbench tracer counts a fiber's combinations from these reads
     per_prime = [
-        _prime_rows(order, ell, valuation(M, ell), fac[ell], path_classes(order, ell, fac[ell]))
-        for ell in sorted(fac)
+        _prime_rows(order, ell, valuation(M, ell), a, path_classes(order, ell, a))
+        for ell, a in sorted(_factor_pairs(N))
     ]
-    merged: dict = {}
-    for key, count, mult in _folds(order, M, per_prime):
-        merged[key] = merged.get(key, 0) + count * mult
-    # one FieldSymbol and one relative degree per merged class
+    scale = M * euler_phi(M)
+    # one FieldSymbol per merged class; its degree came out of the fold
     base_degree = rcf_rel_degree(dK, f)
-    out = []
-    for (has_K, m, e, tag), count in merged.items():
-        field = FieldSymbol("K" if has_K else "Q", m, dK)
-        out.append(ClosedPointClass(field, field_degree(field) // base_degree, e, count, tag))
-    classes = tuple(sorted(out, key=_class_key))
-    total = sum(c.e * c.d * c.count for c in classes)
-    report = FiberReport(M, N, order, classes, total)
-    if not report.psi_ok:
+    out, total = [], 0
+    for (has_K, m, e, tag, degree), count in _folds(order, M, scale, per_prime).items():
+        d = degree // base_degree
+        out.append(ClosedPointClass(FieldSymbol("K" if has_K else "Q", m, dK), d, e, count, tag))
+        total += e * d * count
+    expected = psi(N) * scale
+    if total != expected:
         raise AssertionError(
             f"fiber degree check failed for (delta={order.delta}, M={M}, N={N}): "
-            f"{total} != {report.expected_total}"
+            f"{total} != {expected}"
         )
-    return report
+    return FiberReport(M, N, order, tuple(sorted(out, key=_class_key)), total)
 
 
 # -- primitive residue fields ------------------------------------------------
@@ -419,7 +435,7 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
         return ([fld], [field_degree(fld)])
     rows = [
         (ell, *_primitive_row(order, ell, valuation(M, ell), a))
-        for ell, a in factorize(N).items()
+        for ell, a in _factor_pairs(N)
     ]
     C = 1
     for ell, b, c, _ in rows:
@@ -452,7 +468,7 @@ def elliptic_compatible(order: OrderDisc, M: int, N: int) -> bool:
     must admit a completely horizontal path."""
     if order.f != 1 or M != 1:
         return False
-    for ell, a in factorize(N).items():
+    for ell, a in _factor_pairs(N):
         chi = kronecker(order.delta, ell)
         if chi == -1 or (chi == 0 and a >= 2):
             return False

@@ -84,27 +84,53 @@ def _lines(N: int):
     return tuple(reps), index
 
 
+def _pow(u, k, t, n, N):
+    # u^k mod N by squaring
+    out = (1 % N, 0)
+    while k:
+        if k & 1:
+            out = _mul(out, u, t, n, N)
+        u = _mul(u, u, t, n, N)
+        k >>= 1
+    return out
+
+
 @lru_cache(maxsize=256)
 def _residue_gens(t: int, n: int, ell: int):
-    """Generators of (O/ell O)^*, found greedily in the ring O/ell O."""
-    gens, seen = [], {(1, 0)}
-    for x in range(ell):
-        for y in range(ell):
-            g = (x, y)
-            if g in seen or (x * x + x * y * t + y * y * n) % ell == 0:
-                continue
-            gens.append(g)
-            frontier = list(seen)
-            while frontier:
-                nxt = []
-                for h in frontier:
-                    for k in gens:
-                        p = _mul(h, k, t, n, ell)
-                        if p not in seen:
-                            seen.add(p)
-                            nxt.append(p)
-                frontier = nxt
-    return tuple(gens)
+    """At most two generators of (O/ell O)^*, O/ell O = F_ell[tau] with
+    tau^2 = t tau - n.
+
+    With r roots of X^2 - t X + n mod ell, the group has order
+    (ell - 1)(ell + 1 - r).  It is cyclic (F_{ell^2}^*, or F_ell^* x F_ell for
+    r = 1) unless r = 2, where it is F_ell^* x F_ell^* of exponent ell - 1.
+    The first generator is an element of the largest order; a second one,
+    where that falls short, is an element whose image in the quotient by the
+    first has order ell - 1.  The quotient is cyclic, since a cyclic subgroup
+    of the largest order is a direct factor, so such an element exists.
+    """
+    roots = sum((x * x - t * x + n) % ell == 0 for x in range(ell))
+    size = (ell - 1) * (ell + 1 - roots)
+    if size == 1:
+        return ()
+    exponent = ell - 1 if roots == 2 else size
+    one, primes = (1, 0), list(factorize(exponent))
+    units = [
+        (x, y) for x in range(ell) for y in range(ell) if (x * x + t * x * y + n * y * y) % ell
+    ]
+    g1 = next(g for g in units if all(_pow(g, exponent // p, t, n, ell) != one for p in primes))
+    if exponent == size:
+        return (g1,)
+    sub, h = {one}, g1
+    while h != one:
+        sub.add(h)
+        h = _mul(h, g1, t, n, ell)
+    for g in units:
+        h, k = g, 1
+        while h not in sub:
+            h, k = _mul(h, g, t, n, ell), k + 1
+        if k * exponent == size:
+            return (g1, g)
+    raise AssertionError("no second generator of (O/ell O)^*")
 
 
 def _local_gens(t, n, ell, a, k):

@@ -111,6 +111,19 @@ def test_order_disc_accessors():
     assert od.ell_valuation(3) == 1
 
 
+def test_order_disc_refuses_a_non_fundamental_delta_K():
+    # -3 and -4 skip the factorizing test; every other delta_K still takes it
+    for delta, delta_K, f in ((-48, -12, 2), (-64, -16, 2), (-108, -27, 2), (-112, -28, 2),
+                              (-12, -12, 1), (-16, -16, 1)):
+        with pytest.raises(ValidationError, match="not fundamental"):
+            OrderDisc(delta, delta_K, f)
+        with pytest.raises(ValidationError, match="not fundamental"):
+            OrderDisc.from_parts(delta_K, f)
+    for delta_K in (-3, -4, -7, -8):
+        for f in (1, 2, 3):
+            assert OrderDisc.from_parts(delta_K, f) == (f * f * delta_K, delta_K, f)
+
+
 def test_valuation_refuses_what_it_cannot_count():
     # ell in {1, -1} or n = 0 never left the loop, and ell = 0 divided by zero
     assert valuation(48, 2) == 4 and valuation(7, 3) == 0

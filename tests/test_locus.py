@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmlocus.arith import OrderDisc, ValidationError, _factor_items, factorize, psi
 from cmlocus.fields import K, Q, embeds, field_degree, is_isomorphic, rcf_rel_degree
+from cmlocus import locus
 from cmlocus.locus import (
     PrimeLocalDatum,
     fiber_X0MN,
@@ -325,3 +326,38 @@ def test_fiber_sweep_grid_is_pinned():
                                    x1_fiber(order, M, N))
                         h.update(repr(reports).encode())
     assert h.hexdigest() == "9050e78b328937556286b9f6b6ef9b7718bf546ffbe7d35ae4702dd2d14d1e42"
+
+
+def test_fiber_degrees_match_the_field_degrees():
+    # each class's d comes out of the fold; over the benchmark's fiber_sweep
+    # grid it is still [field : Q] / [Q(f) : Q]
+    for dK in (-3, -4):
+        for f in range(1, 7):
+            order = OrderDisc.from_parts(dK, f)
+            base = rcf_rel_degree(dK, f)
+            for N in range(1, 97):
+                for M in range(1, N + 1):
+                    if N % M == 0:
+                        for c in fiber_X0MN(order, M, N).classes:
+                            assert c.d == field_degree(c.field) // base, (dK, f, M, N, c)
+
+
+# one row of _prime_rows: (multiplicity, path shape, downstairs factor, its K
+# flag, lifted factor, its K flag, contains_K, descends, the M = 2 rule's flag)
+def _fake_rows(monkeypatch, *rows):
+    monkeypatch.setattr(locus, "_prime_rows", lambda *args: rows)
+
+
+def test_fold_refuses_a_non_integral_count(monkeypatch):
+    # on X0(5, 5) over Z[i] a lifted K(7) has degree 8 and e = 2, and
+    # 5 phi(5) = 20 points do not divide into 16
+    _fake_rows(monkeypatch, (1, (0, 0, 1), 1, False, 7, True, False, False, True))
+    with pytest.raises(ValidationError, match="non-integral"):
+        fiber_X0MN(O4, 5, 5)
+
+
+def test_fold_checks_the_psi_total(monkeypatch):
+    # one rational point where X0(5) has psi(5) = 6 points over j = 1728
+    _fake_rows(monkeypatch, (1, (0, 0, 1), 1, False, 1, False, False, False, False))
+    with pytest.raises(AssertionError, match="fiber degree check failed"):
+        fiber_X0MN(O4, 1, 5)

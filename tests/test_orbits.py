@@ -16,7 +16,7 @@ import cmlocus
 from cmlocus import orbits
 from cmlocus.arith import OrderDisc, ValidationError
 from cmlocus.locus import fiber_X0MN
-from cmlocus.orbits import _Level, _mul, _ring_class_degree, fiber_orbits
+from cmlocus.orbits import _Level, _mul, _residue_gens, _ring_class_degree, fiber_orbits
 
 
 def library(order, M, N):
@@ -110,6 +110,28 @@ def test_generators_span_the_groups(dK):
                 h = _closure(lv.h_gens(m), lv.t, lv.n, N)
                 index = _ring_class_degree(dK, m * f) // _ring_class_degree(dK, f)
                 assert len(units) == len(h) * index, (dK, f, N, m)
+
+
+def test_residue_generators_are_at_most_two():
+    # (O/lO)^* has rank at most 2, so at most two generators reach it, for l
+    # inert, split and ramified alike (X^2 - tX + n with 0, 2 or 1 roots)
+    for ell in (p for p in range(2, 101) if all(p % q for q in range(2, p))):
+        kinds = {}
+        for t, n in ((t, n) for t in range(ell) for n in range(ell)):
+            roots = sum((x * x - t * x + n) % ell == 0 for x in range(ell))
+            kinds.setdefault(roots, (t, n))
+            if len(kinds) == 3:
+                break
+        assert len(kinds) == 3, ell
+        for roots, (t, n) in kinds.items():
+            gens = _residue_gens(t, n, ell)
+            assert len(gens) <= 2, (ell, t, n, gens)
+            if ell <= 31:  # the span, on groups of at most 31^2 elements
+                units = {
+                    (x, y) for x in range(ell) for y in range(ell)
+                    if (x * x + t * x * y + n * y * y) % ell
+                }
+                assert _closure(gens, t, n, ell) == units, (ell, t, n)
 
 
 def test_a_residue_field_that_is_no_ring_class_field_fails_loudly(monkeypatch):
