@@ -28,7 +28,7 @@ _HOME = {
         "graph",
     ),
     **dict.fromkeys(
-        ("ClosedPointClass", "FiberReport", "PrimeLocalDatum", "fiber_X0MN",
+        ("ClosedPointClass", "FiberReport", "fiber_X0MN",
          "lift_residue_prime_power", "primitive_prime_power", "primitive_X0MN",
          "x1_fiber", "x_nn_residue"),
         "locus",

@@ -2,10 +2,10 @@
 point counts, primitive residue fields and degrees, and the transfer to
 X1(M,N).
 
-Each prime's path table gives rows of integers (``_prime_rows``), and
-``_folds`` combines one row per prime: conductor-1 orders (the two maximal
-orders with extra units) by dedicated residue-field rules, larger orders
-inside the same two fields by the lcm of the lifted conductors.
+Each prime's path table gives its classes, ``lift_residue_prime_power``
+lifts them to X0(ell^a', ell^a), and ``_prime_rows`` keeps both fields of
+every lifted part as integers; ``_folds`` combines one row per prime, the
+conductor of a combination being f times the product of the rows' ell-parts.
 """
 
 from collections import namedtuple
@@ -55,59 +55,8 @@ class FiberReport(namedtuple("FiberReport", "M N order classes check_total")):
         return self.check_total == self.expected_total
 
 
-class PrimeLocalDatum(namedtuple("PrimeLocalDatum", "ell a_prime a descents contains_K "
-                                 "split_surface_edge purely_descending conductor_exp horizontal")):
-    """The ell-local data of a chosen downstairs class on X0(ell^a);
-    ``conductor_exp`` is the ell-exponent of the downstairs field."""
-
-    __slots__ = ()
-
-    def __new__(cls, ell, a_prime, a, descents, contains_K, split_surface_edge,
-                purely_descending, conductor_exp=None, horizontal=0):
-        self = tuple.__new__(cls, (ell, a_prime, a, descents, contains_K, split_surface_edge,
-                                   purely_descending, conductor_exp, horizontal))
-        self.__post_init__()
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __post_init__
-        return cls(*iterable)
-
-    def __post_init__(self):
-        _check_int(self.a_prime, self.descents, self.horizontal)
-        if not 0 <= self.a_prime <= self.a:
-            raise ValidationError("need 0 <= a' <= a")
-        _check_power(self.ell, self.a)
-        if self.descents > self.a:
-            raise ValidationError("descending count exceeds path length")
-        if self.purely_descending and self.descents != self.a:
-            raise ValidationError("a purely descending path descends a times")
-        if self.split_surface_edge and not self.contains_K:
-            raise ValidationError("a split surface edge forces K in the field")
-
-    @property
-    def field_exp(self) -> int:
-        return self.descents if self.conductor_exp is None else self.conductor_exp
-
-
 def _class_key(c: ClosedPointClass):
     return (c.field.base, c.field.m, c.path_type or (0, 0, 0))
-
-
-def _datum(order: OrderDisc, ell: int, a_prime: int, a: int, cls: PathClass) -> PrimeLocalDatum:
-    split = kronecker(order.delta, ell) == 1
-    return PrimeLocalDatum(
-        ell=ell,
-        a_prime=a_prime,
-        a=a,
-        descents=cls.descents,
-        contains_K=cls.field.contains_K,
-        split_surface_edge=split and cls.horizontal > 0 and cls.field.contains_K,
-        purely_descending=cls.purely_descending,
-        conductor_exp=valuation(cls.field.m, ell) - order.ell_valuation(ell),
-        horizontal=cls.horizontal,
-    )
 
 
 def x_nn_residue(order: OrderDisc, N: int) -> FieldSymbol:
@@ -115,77 +64,80 @@ def x_nn_residue(order: OrderDisc, N: int) -> FieldSymbol:
     if N <= 1:
         raise ValidationError("X0(N,N) residue fields need N >= 2")
     dK, f = order.delta_K, order.f
-    if N >= 3:
+    if N >= 3 or order.delta % 2:
         return K(N * f, dK)
-    if order.delta == -4:
-        return Q(2 * f, dK)
-    if order.delta == -3 or order.delta % 2 != 0:
-        return K(2 * f, dK)
     return Q(2 * f, dK)
 
 
-def lift_residue_prime_power(
-    order: OrderDisc, datum: PrimeLocalDatum, downstairs_field: FieldSymbol
-) -> FieldSymbol:
-    """Residue field on X0(ell^a', ell^a) above a downstairs class."""
-    if datum.a_prime == 0:
-        return downstairs_field
-    dK, f = order.delta_K, order.f
-    ell, ap, a = datum.ell, datum.a_prime, datum.a
-    if ell**ap == 2 and order.delta == -4:
-        if a == 1 or datum.purely_descending:
-            return downstairs_field
-        return K(2 ** (a - 1), dK)
-    if ell**ap == 2 and order.delta % 2 == 0:
-        # Scalarizing the 2-torsion adjoins the 2-division field of the
-        # source curve; that extension is real except when a surface
-        # horizontal step of a -4 f^2 tower separates the two descents, or
-        # when the class starts by ascending (``_ascending_K_lifts``).
-        m = lcm(2 * f, downstairs_field.m)
-        if (
-            a >= 2
-            and dK == -4
-            and order.ell_valuation(2) == 0
-            and datum.horizontal > 0
-        ) or _ascending_K_lifts(order, datum, 1):
-            return K(m, dK)
-        return FieldSymbol(downstairs_field.base, m, dK)
-    return K(lcm(ell**ap * f, downstairs_field.m), dK)
+def lift_residue_prime_power(order: OrderDisc, ell: int, a_prime: int, a: int):
+    """The classes of X0(ell^a) lifted to X0(ell^a', ell^a): a tuple of
+    (class, lifted field, count) in the order of path_classes(order, ell, a),
+    with one part per class, or two where its points lift to two fields."""
+    _check_int(a_prime)
+    _check_power(ell, a)
+    if not 0 <= a_prime <= a:
+        raise ValidationError("need 0 <= a' <= a")
+    return tuple(_lifts(order, ell, a_prime, a, path_classes(order, ell, a)))
 
 
-def _ascending_K_lifts(order: OrderDisc, datum: PrimeLocalDatum, count: int) -> int:
-    """How many of ``count`` rational points of one class on X0(2^a) lift to
-    a point of X0(2, 2^a) with field K(m) rather than two with field Q(m),
-    for an even delta and a class that starts by ascending (b >= 1, no
-    horizontal step) with field Q(m), m > f.
+def _lifts(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
+    """The unchecked core of lift_residue_prime_power over ``classes`` =
+    path_classes(order, ell, a).
 
-    X0(2, 2^a) is X0(2^(a+1)) by (E, C, Q) -> (E/<Q>, E/<Q> -> E -> E/C).
-    Here C[2] is the ascending kernel, so Q spans one of the two descending
-    lines, and the lift of a (b, 0, d) path at conductor f is a (b + 1, 0, d)
-    path at conductor 2f, in the tables of 2 at L + 1.  Below the top b (L
-    over delta_K = -4, L - 1 over -3) that path is a K-class of count 1
-    (type V3 over -4, V4 over -3), so every point lifts to K(m).  At the top
-    it is the mixed type (VI3 over -4, V3 over -3) at L + 1, whose K-points
-    exceed twice the class's own (each of which lifts to two) by one fewer
-    than the class's rational points: one of the two of VI3 and V3, none of
-    the one of VI1 (L = 1) and of V1 over -3 at L = 2.  In the ring: on
-    E[2] = O/2O = F2[eps], c is trivial and alpha = x + y tau swaps the two
-    lines other than C[2] exactly when y is odd, so a lift holds K exactly
-    when "y odd" and "not in the Cartan" agree on the stabilizer of C.
-    ``orbits.fiber_orbits`` checks the rule.
+    Over a' = 0 a class keeps its field.  Otherwise the lift adjoins the
+    ell^a'-torsion: K(lcm(ell^a' f, m)) for ell^a' >= 3 or an odd delta.  On
+    X0(2, 2^a) over an even delta, scalarizing the 2-torsion adjoins the
+    2-division field of the source curve, which is real: the field becomes
+    lcm(2f, m) over the class's own base, except for the points that
+    ``_K_lifts`` counts, which lift to K.
     """
-    if (
-        datum.ell**datum.a_prime != 2
-        or order.delta % 2
-        or datum.contains_K
-        or datum.horizontal
-        or datum.descents == datum.a
-        or datum.field_exp == 0
-    ):
-        return 0
+    f, dK = order.f, order.delta_K
+    for cls in classes:
+        field, count = cls.field, cls.count
+        if a_prime == 0:
+            yield cls, field, count
+        elif ell**a_prime > 2 or order.delta % 2:
+            yield cls, K(lcm(ell**a_prime * f, field.m), dK), count
+        else:
+            m = lcm(2 * f, field.m)
+            k = _K_lifts(order, a, cls)
+            if k < count:
+                yield cls, FieldSymbol(field.base, m, dK), count - k
+            if k:
+                yield cls, K(m, dK), k
+
+
+def _K_lifts(order: OrderDisc, a: int, cls: PathClass) -> int:
+    """How many of the points of one class on X0(2^a) lift to a point of
+    X0(2, 2^a) with field K(m) rather than two with the field of its base,
+    for an even delta.
+
+    All of them do where a surface horizontal step of a -4 f^2 tower, f odd,
+    separates the two descents (a >= 2).  Otherwise only a class that starts
+    by ascending (b >= 1, no horizontal step) with field Q(m), m > f, has such
+    points.  X0(2, 2^a) is X0(2^(a+1)) by (E, C, Q) -> (E/<Q>, E/<Q> -> E ->
+    E/C).  Here C[2] is the ascending kernel, so Q spans one of the two
+    descending lines, and the lift of a (b, 0, d) path at conductor f is a
+    (b + 1, 0, d) path at conductor 2f, in the tables of 2 at L + 1.  Below
+    the top b (L over delta_K = -4, L - 1 over -3) that path is a K-class of
+    count 1 (type V3 over -4, V4 over -3), so every point lifts to K(m).  At
+    the top it is the mixed type (VI3 over -4, V3 over -3) at L + 1, whose
+    K-points exceed twice the class's own (each of which lifts to two) by
+    one fewer than the class's rational points: one of the two of VI3 and
+    V3, none of the one of VI1 (L = 1) and of V1 over -3 at L = 2.  In the
+    ring: on E[2] = O/2O = F2[eps], c is trivial and alpha = x + y tau swaps
+    the two lines other than C[2] exactly when y is odd, so a lift holds K
+    exactly when "y odd" and "not in the Cartan" agree on the stabilizer of
+    C.  ``orbits.fiber_orbits`` checks the rule.
+    """
     L = order.ell_valuation(2)
+    if cls.horizontal:
+        # L = 0 is an odd conductor: delta_K = -4
+        return cls.count if a >= 2 and L == 0 else 0
+    if cls.field.contains_K or cls.descents == a or cls.field.m == order.f:
+        return 0
     top = L if order.delta_K == -4 else L - 1
-    return count if datum.a - datum.descents < top else count - 1
+    return cls.count if a - cls.descents < top else cls.count - 1
 
 
 def _check_divides(M, N):
@@ -196,43 +148,22 @@ def _check_divides(M, N):
 
 @lru_cache(maxsize=2048, typed=True)
 def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
-    """One prime's rows of the fiber, one per class of ``classes`` =
-    path_classes(order, ell, a), or two where the class's points lift apart;
-    the caller reads that table itself, so each fiber reads each prime's
-    table once.
+    """One prime's rows of the fiber, one per lifted part of ``classes`` =
+    path_classes(order, ell, a); the caller reads that table itself, so each
+    fiber reads each prime's table once.
 
-    A row is the class's local contribution as plain integers: (multiplicity,
+    A row is the part's local contribution as plain integers: (multiplicity,
     path shape, downstairs conductor factor, its K flag, lifted conductor
-    factor, its K flag, contains_K, descends, and the lifted K flag of the
-    M = 2, delta = -4 rule: for ell = 2 that the class neither has a = 1 nor
-    descends purely, for odd ell contains_K).  The factors are powers of ell;
-    a field's conductor is f times their product over the primes.  Over a
-    maximal order they are ell^descents with split_surface_edge, and
-    ell^max(a', descents) with K (the X0(M,N) rule for M >= 2); for f > 1 they
-    are the ell-parts of the downstairs field, Q(ell^field_exp f) or
-    K(ell^field_exp f), and of its lift.
+    factor, its K flag, descends).  The factors are the ell-parts m / f of
+    the conductors of the class's field and of its lift; a field's conductor
+    is f times their product over the primes.
     """
-    f, dK = order.f, order.delta_K
-    rows = []
-    for cls in classes:
-        d = _datum(order, ell, a_prime, a, cls)
-        if f == 1:
-            down = (ell**d.descents, d.split_surface_edge)
-            ups = [(cls.count, ell ** max(a_prime, d.descents), True)]
-        else:
-            field = FieldSymbol("K" if d.contains_K else "Q", ell**d.field_exp * f, dK)
-            lifted = lift_residue_prime_power(order, d, field)
-            down = (ell**d.field_exp, field.contains_K)
-            # a class whose points lift apart takes one row per lifted field
-            k = _ascending_K_lifts(order, d, cls.count)
-            m_up = lifted.m // f
-            ups = [(cls.count - k, m_up, lifted.contains_K), (k, m_up, True)]
-        two_K = not (a == 1 or d.purely_descending) if ell == 2 else d.contains_K
-        for mult, m_up, k_up in ups:
-            if mult:
-                rows.append((mult, cls.bhd, *down, m_up, k_up, d.contains_K, d.descents > 0,
-                             two_K))
-    return tuple(rows)
+    f = order.f
+    return tuple(
+        (count, cls.bhd, cls.field.m // f, cls.field.contains_K, up.m // f, up.contains_K,
+         cls.descents > 0)
+        for cls, up, count in _lifts(order, ell, a_prime, a, classes)
+    )
 
 
 def _folds(order: OrderDisc, M: int, scale: int, per_prime) -> dict:
@@ -244,10 +175,7 @@ def _folds(order: OrderDisc, M: int, scale: int, per_prime) -> dict:
     Downstairs (on X0(N)) and lifted (on X0(M,N)) alike, a combination's
     field holds K when any of its rows does, and its conductor m is f times
     the product of the rows' factors; its degree over Q is
-    d(m) = rcf_rel_degree(delta_K, m), doubled for K.  Over a maximal order
-    with M >= 2 the lift always holds K, except on X0(2, 2^a) over
-    delta = -4 when the ell = 2 class has a = 1 or descends purely; then K
-    comes from the other primes alone.  The count is
+    d(m) = rcf_rel_degree(delta_K, m), doubled for K.  The count is
     2^(s-1) M phi(M) e_down deg_down / (e_up deg_up), with s the number of
     downstairs classes that hold K.  ``orbits.fiber_orbits`` is the
     independent check of this rule.
@@ -258,21 +186,17 @@ def _folds(order: OrderDisc, M: int, scale: int, per_prime) -> dict:
     """
     f, dK = order.f, order.delta_K
     w2 = unit_count(dK) // 2 if f == 1 else 1
-    if M == 2 and order.delta == -4:
-        # every lifted row of a maximal order holds K; here each row lends
-        # the lift its flag of this rule instead
-        per_prime = [[(*r[:5], r[8], *r[6:]) for r in rows] for rows in per_prime]
     states = [(1, 1, False, 1, False, 0, False)]
     for rows in per_prime[:-1]:
         states = [
-            (n * c, md * md2, kd or kd2, mu * mu2, ku or ku2, s + has_K, ds or ds2)
+            (n * c, md * md2, kd or kd2, mu * mu2, ku or ku2, s + kd2, ds or ds2)
             for n, md, kd, mu, ku, s, ds in states
-            for c, _, md2, kd2, mu2, ku2, has_K, ds2, _ in rows
+            for c, _, md2, kd2, mu2, ku2, ds2 in rows
         ]
     single = len(per_prime) == 1
     merged: dict = {}
     for n, md, kd, mu, ku, s, ds in states:
-        for c, tag, md2, kd2, mu2, ku2, has_K, ds2, _ in per_prime[-1]:
+        for c, tag, md2, kd2, mu2, ku2, ds2 in per_prime[-1]:
             k_down, m_down = kd or kd2, f * md * md2
             deg_down = rcf_rel_degree(dK, m_down) * (2 if k_down else 1)
             e_down = w2 if ds or ds2 else 1
@@ -281,7 +205,7 @@ def _folds(order: OrderDisc, M: int, scale: int, per_prime) -> dict:
             else:
                 k_up, m_up = ku or ku2, f * mu * mu2
                 deg_up, e_up = rcf_rel_degree(dK, m_up) * (2 if k_up else 1), w2
-            num = 2 ** max(s + has_K - 1, 0) * scale * e_down * deg_down
+            num = 2 ** max(s + kd2 - 1, 0) * scale * e_down * deg_down
             den = e_up * deg_up
             if num % den != 0:
                 raise ValidationError("non-integral point count: inconsistent data")
@@ -327,11 +251,7 @@ def enumerated_primitive_prime_power(order: OrderDisc, ell: int, a_prime: int, a
     """Minimal residue fields of the X0(ell^a', ell^a) fiber obtained by
     lifting every downstairs class; the independent route against the
     published casework in :func:`primitive_prime_power`."""
-    fields = []
-    for cls in path_classes(order, ell, a):
-        datum = _datum(order, ell, a_prime, a, cls)
-        fields.append(lift_residue_prime_power(order, datum, cls.field))
-    return minimal_fields(fields)
+    return minimal_fields([up for _, up, _ in lift_residue_prime_power(order, ell, a_prime, a)])
 
 
 def primitive_prime_power(order: OrderDisc, ell: int, a_prime: int, a: int):

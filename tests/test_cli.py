@@ -311,7 +311,7 @@ def test_fiber_at_large_prime_level(capsys):
 
 PUBLIC_NAMES = [
     "ClosedPointClass", "CompositumResult", "FiberReport", "FieldSymbol",
-    "GraphPath", "IsogenyGraph", "K", "OrderDisc", "PrimeLocalDatum", "Q",
+    "GraphPath", "IsogenyGraph", "K", "OrderDisc", "Q",
     "arith", "build_graph", "class_number", "compose_rcf", "conjugation_graph",
     "double_cover", "enumerate_paths", "euler_phi", "fiber_X0MN", "field_degree",
     "fields", "forms", "geometric_points", "graph", "in_S", "kronecker",

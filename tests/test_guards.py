@@ -12,7 +12,6 @@ from cmlocus import forms, pathstats
 from cmlocus import (
     K,
     OrderDisc,
-    PrimeLocalDatum,
     build_graph,
     class_number,
     compose_rcf,
@@ -44,10 +43,6 @@ def _order(dK, f):
     return OrderDisc.from_parts(dK, f)
 
 
-def _datum(ell, a_prime, a, descents):
-    return PrimeLocalDatum(ell, a_prime, a, descents, False, False, descents == a)
-
-
 # name -> (call, the int arguments that call answers); each argument in turn
 # is replaced by a float, a bool or a huge int
 CASES = {
@@ -77,11 +72,8 @@ CASES = {
     "primitive_prime_power": (
         lambda f, ell, ap, a: primitive_prime_power(_order(-4, f), ell, ap, a), (3, 5, 1, 2)
     ),
-    "PrimeLocalDatum": (_datum, (2, 1, 2, 2)),
     "lift_residue_prime_power": (
-        lambda ell, ap, a, d: lift_residue_prime_power(_order(-4, 1), _datum(ell, ap, a, d),
-                                                       cmlocus.Q(4, -4)),
-        (2, 1, 2, 2),
+        lambda f, ell, ap, a: lift_residue_prime_power(_order(-4, f), ell, ap, a), (3, 2, 1, 2)
     ),
     "fiber_X0MN": (lambda dK, f, M, N: fiber_X0MN(_order(dK, f), M, N), (-4, 3, 2, 10)),
     "primitive_X0MN": (lambda dK, f, M, N: primitive_X0MN(_order(dK, f), M, N), (-3, 2, 3, 45)),

@@ -9,14 +9,12 @@ from cmlocus.arith import OrderDisc, ValidationError, _factor_items, factorize, 
 from cmlocus.fields import K, Q, embeds, field_degree, is_isomorphic, rcf_rel_degree
 from cmlocus import locus
 from cmlocus.locus import (
-    PrimeLocalDatum,
     fiber_X0MN,
     lift_residue_prime_power,
     primitive_X0MN,
     primitive_prime_power,
     x1_fiber,
     x_nn_residue,
-    _datum,
     _prime_rows,
     _primitive_row,
     _split_deep_level,
@@ -37,13 +35,46 @@ def test_x_nn_residue():
         x_nn_residue(O4, 1)
 
 
+def _lifted(order, ell, a_prime, a):
+    # each lifted part as (path shape, lifted field, count)
+    return [(cls.bhd, str(up), n) for cls, up, n in
+            lift_residue_prime_power(order, ell, a_prime, a)]
+
+
 def test_lift_examples():
-    pd = PrimeLocalDatum(2, 1, 2, 2, False, False, True)
-    assert str(lift_residue_prime_power(O4, pd, Q(4, -4))) == "Q(4)"
-    hd = PrimeLocalDatum(2, 1, 2, 1, False, False, False, horizontal=1)
-    assert str(lift_residue_prime_power(O4, hd, Q(2, -4))) == "K(2)"
-    d3 = PrimeLocalDatum(3, 1, 2, 2, False, False, True)
-    assert str(lift_residue_prime_power(O3, d3, Q(9, -3))) == "K(9)"
+    # a pure descent keeps its field; a surface horizontal step over Z[i]
+    # separates the two descents, so its lift holds K
+    assert _lifted(O4, 2, 1, 2) == [((0, 0, 2), "Q(4)", 1), ((0, 1, 1), "K(2)", 1)]
+    assert _lifted(O3, 3, 1, 2) == [((0, 0, 2), "K(9)", 1), ((0, 1, 1), "K(3)", 1)]
+    # X0(2, 2) over Z[i]: the lift of the horizontal class is Q(2) = Q(1)
+    assert _lifted(O4, 2, 1, 1) == [((0, 0, 1), "Q(2)", 1), ((0, 1, 0), "Q(2)", 1)]
+    # a' = 0 is X0(ell^a) itself
+    assert [up for _, up, _ in lift_residue_prime_power(O4, 5, 0, 2)] == [
+        c.field for c in path_classes(O4, 5, 2)]
+    # the two rational points of VI3 over -64 on X0(2, 32) lift apart: one
+    # to K(8), one to two Q(8) points
+    vi3 = [p for p in _lifted(OrderDisc.from_parts(-4, 4), 2, 1, 5) if p[0] == (2, 0, 3)]
+    assert vi3 == [((2, 0, 3), "Q(8)", 1), ((2, 0, 3), "K(8)", 1)]
+
+
+def test_lift_is_the_one_prime_fiber():
+    # on a prime power level the lifted fields are exactly the fields of the
+    # fiber of X0(ell^a', ell^a)
+    cases = 0
+    for dK in (-3, -4):
+        for f in range(1, 9):
+            order = OrderDisc.from_parts(dK, f)
+            for N in range(2, 161):
+                fac = factorize(N)
+                if len(fac) > 1:
+                    continue
+                ((ell, a),) = fac.items()
+                for a_prime in range(a + 1):
+                    lifted = {up for _, up, _ in lift_residue_prime_power(order, ell, a_prime, a)}
+                    fiber = {c.field for c in fiber_X0MN(order, ell**a_prime, N).classes}
+                    assert lifted == fiber, (order, ell, a_prime, a)
+                    cases += 1
+    assert cases == 2112
 
 
 def _by_path(report):
@@ -178,12 +209,8 @@ def test_fields_in_moduli_band():
             fac = factorize(N)
             per_prime = []
             for ell in sorted(fac):
-                lifts = []
-                for cls in path_classes(order, ell, fac[ell]):
-                    d = _datum(order, ell, _val(M, ell), fac[ell], cls)
-                    lifted = lift_residue_prime_power(order, d, cls.field)
-                    lifts.append(ell ** _val(lifted.m, ell))
-                per_prime.append(lifts)
+                parts = lift_residue_prime_power(order, ell, _val(M, ell), fac[ell])
+                per_prime.append([ell ** _val(up.m, ell) for _, up, _ in parts])
             conductors = {prod(c) for c in product(*per_prime)}
             for c in fiber_X0MN(order, M, N).classes:
                 assert any(
@@ -201,12 +228,9 @@ def _val(n, ell):
 
 
 def test_data_validation():
-    with pytest.raises(ValidationError):
-        PrimeLocalDatum(5, 0, 1, 0, False, True, False)  # split edge without K
-    with pytest.raises(ValidationError):
-        PrimeLocalDatum(5, 2, 1, 0, False, False, False)  # a' > a
-    with pytest.raises(ValidationError):
-        PrimeLocalDatum(2, 1, 3, 1, False, False, True)  # purely descending, d < a
+    for ell, a_prime, a in ((5, 2, 1), (5, -1, 1), (4, 1, 2)):  # a' > a, a' < 0, composite
+        with pytest.raises(ValidationError):
+            lift_residue_prime_power(O4, ell, a_prime, a)
     with pytest.raises(ValidationError):
         fiber_X0MN(O4, 3, 4)
     for ell, a_prime, a in ((4, 0, 2), (6, 1, 1)):  # composite ell
@@ -343,7 +367,7 @@ def test_fiber_degrees_match_the_field_degrees():
 
 
 # one row of _prime_rows: (multiplicity, path shape, downstairs factor, its K
-# flag, lifted factor, its K flag, contains_K, descends, the M = 2 rule's flag)
+# flag, lifted factor, its K flag, descends)
 def _fake_rows(monkeypatch, *rows):
     monkeypatch.setattr(locus, "_prime_rows", lambda *args: rows)
 
@@ -351,13 +375,13 @@ def _fake_rows(monkeypatch, *rows):
 def test_fold_refuses_a_non_integral_count(monkeypatch):
     # on X0(5, 5) over Z[i] a lifted K(7) has degree 8 and e = 2, and
     # 5 phi(5) = 20 points do not divide into 16
-    _fake_rows(monkeypatch, (1, (0, 0, 1), 1, False, 7, True, False, False, True))
+    _fake_rows(monkeypatch, (1, (0, 0, 1), 1, False, 7, True, False))
     with pytest.raises(ValidationError, match="non-integral"):
         fiber_X0MN(O4, 5, 5)
 
 
 def test_fold_checks_the_psi_total(monkeypatch):
     # one rational point where X0(5) has psi(5) = 6 points over j = 1728
-    _fake_rows(monkeypatch, (1, (0, 0, 1), 1, False, 1, False, False, False, False))
+    _fake_rows(monkeypatch, (1, (0, 0, 1), 1, False, 1, False, False))
     with pytest.raises(AssertionError, match="fiber degree check failed"):
         fiber_X0MN(O4, 1, 5)

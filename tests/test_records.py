@@ -11,7 +11,7 @@ import cmlocus
 from cmlocus.arith import OrderDisc, ValidationError
 from cmlocus.fields import FieldSymbol, K, compose_rcf
 from cmlocus.graph import build_graph, enumerate_paths, geometric_points
-from cmlocus.locus import PrimeLocalDatum, fiber_X0MN
+from cmlocus.locus import fiber_X0MN
 from cmlocus.tables import path_classes
 
 
@@ -28,7 +28,6 @@ def _records():
         path_classes(order, 5, 2)[0],
         report,
         report.classes[0],
-        PrimeLocalDatum(5, 0, 1, 1, False, False, True),
         edge.src,
         edge,
         paths[0],
@@ -57,13 +56,6 @@ def test_validation_runs_on_construction():
         FieldSymbol("X", 1, -4)
     with pytest.raises(ValidationError):
         OrderDisc(-16, -4, 3)
-    with pytest.raises(ValidationError):
-        PrimeLocalDatum(2, 3, 2, 0, False, False, True)
-    datum = PrimeLocalDatum(ell=5, a_prime=0, a=2, descents=1, contains_K=True,
-                            split_surface_edge=True, purely_descending=False,
-                            horizontal=1)
-    assert datum.conductor_exp is None and datum.field_exp == 1
-    assert datum.horizontal == 1
 
 
 def test_make_and_replace_validate():
@@ -71,12 +63,8 @@ def test_make_and_replace_validate():
         OrderDisc._make((5, 5, 1))
     with pytest.raises(ValidationError):
         FieldSymbol("K", 2, -4)._replace(delta_K=-7)
-    datum = PrimeLocalDatum(5, 0, 1, 1, False, False, True)
-    with pytest.raises(ValidationError):
-        datum._replace(a_prime=5)
     assert OrderDisc._make((-36, -4, 3)) == OrderDisc.from_parts(-4, 3)
     assert K(6, -3)._replace(m=2) == K(2, -3)
-    assert datum._replace(horizontal=1).horizontal == 1
 
 
 def test_cli_import_leaves_out_dataclasses():
