@@ -149,21 +149,6 @@ def _compose(f1, f2, delta: int) -> tuple[int, int, int]:
     return _reduce(a3, b3, (b3 * b3 - delta) // (4 * a3))
 
 
-def form_pow(form, k: int, delta: int) -> tuple[int, int, int]:
-    _check_int(k)
-    result = principal_form(delta)
-    _check_form(form, delta)
-    a, b, c = form
-    base = _reduce(a, -b if k < 0 else b, c)
-    k = abs(k)
-    while k:
-        if k & 1:
-            result = _compose(result, base, delta)
-        base = _compose(base, base, delta)
-        k >>= 1
-    return result
-
-
 def prime_form(delta: int, ell: int) -> tuple[int, int, int]:
     """A reduced form of leading coefficient ``ell`` (the class of a prime
     ideal above a non-inert prime ell)."""
@@ -212,17 +197,3 @@ def is_ambiguous(form: tuple[int, int, int]) -> bool:
     _check_form(form)
     a, b, c = _reduce(*form)
     return b == 0 or a == b or a == c
-
-
-def class_group_order_of(form, delta: int) -> int:
-    """Order of a form class in Pic(O(delta)) by iterated composition."""
-    one = principal_form(delta)
-    _check_form(form, delta)
-    cur = _reduce(*form)
-    n = 1
-    while cur != one:
-        cur = _compose(cur, form, delta)
-        n += 1
-        if n > 4 * class_number(delta):
-            raise AssertionError("runaway order computation")
-    return n

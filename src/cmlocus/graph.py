@@ -369,8 +369,9 @@ def _priority(g, level, reals):
 
 def _mark_edge_conjugation(g: IsogenyGraph, index: dict):
     """Conjugate every edge; ``index`` is ``_mark_conjugation``'s edge index."""
-    dK, ell = g.delta_K, g.ell
-    for v, edges in list(g.out.items()):
+    dK = g.delta_K
+    split = kronecker(g.f0 * g.f0 * dK, g.ell) == 1
+    for edges in list(g.out.values()):
         for e in edges:
             cv, cw = g.conj_v[e.src], g.conj_v[e.dst]
             if e.kind == "up":
@@ -390,25 +391,14 @@ def _mark_edge_conjugation(g: IsogenyGraph, index: dict):
                 else:
                     perm = {0: 0, 1: 2, 2: 1}
                     g.conj_e[e.eid] = bundle[perm[e.parallel]].eid
-            else:  # horizontal
-                if g.f0 == 1:
-                    chi = kronecker(dK, ell)
-                    mates = [x for x in g.out[v] if x.kind == "horiz"]
-                    if chi == 1:
-                        other = next(x for x in mates if x.parallel != e.parallel)
-                        g.conj_e[e.eid] = other.eid
-                    else:
-                        g.conj_e[e.eid] = e.eid
-                elif kronecker(g.f0 * g.f0 * dK, ell) == 0:
-                    target = next(x for x in g.out[cv] if x.kind == "horiz")
-                    g.conj_e[e.eid] = target.eid
-                else:
-                    target = next(
-                        x
-                        for x in g.out[cv]
-                        if x.kind == "horiz" and x.parallel == 1 - e.parallel
-                    )
-                    g.conj_e[e.eid] = target.eid
+            else:
+                # horizontal: the edge at the conjugate source, the other
+                # parallel where ell splits in f0^2 delta_K
+                g.conj_e[e.eid] = next(
+                    x.eid
+                    for x in g.out[cv]
+                    if x.kind == "horiz" and (not split or x.parallel != e.parallel)
+                )
 
 
 @lru_cache(maxsize=4)

@@ -350,9 +350,6 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
     """Primitive residue fields and primitive degrees on X0(M,N)."""
     _check_divides(M, N)
     dK, f = order.delta_K, order.f
-    if N == 1:
-        fld = Q(f, dK)
-        return ([fld], [field_degree(fld)])
     rows = [
         (ell, *_primitive_row(order, ell, valuation(M, ell), a))
         for ell, a in _factor_pairs(N)
@@ -384,9 +381,10 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
 
 
 def elliptic_compatible(order: OrderDisc, M: int, N: int) -> bool:
-    """Whether X0(M,N) has an elliptic CM point over this order: every prime
-    must admit a completely horizontal path."""
-    if order.f != 1 or M != 1:
+    """Whether X0(M,N) has an elliptic CM point over this order: the order
+    has extra units (delta in {-3, -4}), M = 1, and every prime of N admits a
+    completely horizontal path."""
+    if order.delta not in (-3, -4) or M != 1:
         return False
     for ell, a in _factor_pairs(N):
         chi = kronecker(order.delta, ell)
@@ -401,12 +399,13 @@ def x1_fiber(order: OrderDisc, M: int, N: int, point_kind: str = "non-elliptic")
     if point_kind not in ("elliptic", "non-elliptic"):
         raise ValidationError(f"unknown point kind {point_kind!r}")
     if point_kind == "elliptic":
-        if order.delta not in (-3, -4) or M != 1 or N < 4:
-            raise ValidationError("elliptic points need delta in {-3,-4}, M=1, N>=4")
         if not elliptic_compatible(order, M, N):
             raise ValidationError(
-                f"X0({N}) has no elliptic point over discriminant {order.delta}"
+                f"X0({M},{N}) has no elliptic point over discriminant {order.delta}"
             )
+        if N <= 3:
+            # the units act through (Z/N)^*/{+-1}, which is trivial here
+            return (1, 1, 1)
         e = 2 if order.delta == -4 else 3
         phi = euler_phi(N)
         _check_consistent(phi % (2 * e) == 0, f"phi({N}) is not a multiple of w_K")

@@ -42,10 +42,6 @@ class PathClass(namedtuple("PathClass", "bhd field count type_tag")):
     def horizontal(self) -> int:
         return self.bhd[1]
 
-    @property
-    def purely_descending(self) -> bool:
-        return self.bhd[0] == 0 and self.bhd[1] == 0
-
 
 @lru_cache(maxsize=1024, typed=True)
 def path_classes(order: OrderDisc, ell: int, a: int) -> tuple[PathClass, ...]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmlocus
+from cmlocus import pathstats, tables
 from cmlocus.cli import main
 
 
@@ -109,6 +110,22 @@ def test_x1_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["e"] == 3 and payload["f"] == 1 and payload["points"] == 1
+
+
+def test_x1_cli_at_elliptic_points_of_small_level(capsys):
+    # Z/3 over Q at j = 0 and Z/2 over Q at j = 1728
+    assert run(capsys, "x1", "--dk", "-3", "--N", "3", "--elliptic") == (
+        0, "X1(1,3) over the point: e=1 f=1 points=1\n", ""
+    )
+    code, out, _ = run(capsys, "x1", "--dk", "-4", "--N", "2", "--elliptic", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "curve": {"M": 1, "N": 2}, "order": {"deltaK": -4, "f": 1},
+        "kind": "elliptic", "e": 1, "f": 1, "points": 1,
+    }
+    code, _, err = run(capsys, "x1", "--disc", "-7", "--N", "2", "--elliptic")
+    assert code == 2
+    assert err == "validation error: X0(1,2) has no elliptic point over discriminant -7\n"
 
 
 def test_classgroup_cli(capsys):
@@ -265,6 +282,75 @@ def test_check_sweep(capsys):
     code, out, _ = run(capsys, "check", "--sweep")
     assert code == 0
     assert "psi-sum sweep: ok" in out
+
+
+def test_check_sweep_reports_a_walker_mismatch(capsys, monkeypatch):
+    # every (dK, f0, l, L, a) of the oracle grid: 2 * 13 * 2 * 4 = 208
+    monkeypatch.setattr(pathstats, "type_counts", lambda *args: {})
+    assert run(capsys, "check", "--sweep") == (
+        3,
+        "psi-sum sweep: ok\noracle equivalence sweep: 208 failures\n"
+        "real-orbit identity sweep: ok\n",
+        "internal consistency failure: self-check sweep failed\n",
+    )
+
+
+def test_check_sweep_reports_a_real_orbit_mismatch(capsys, monkeypatch):
+    real_counts = pathstats.orbit_counts
+
+    def raised(*args):
+        return {t: (tot, real + 1) for t, (tot, real) in real_counts(*args).items()}
+
+    monkeypatch.setattr(pathstats, "orbit_counts", raised)
+    assert run(capsys, "check", "--sweep") == (
+        3,
+        "psi-sum sweep: ok\noracle equivalence sweep: ok\n"
+        "real-orbit identity sweep: 120 failures\n",
+        "internal consistency failure: self-check sweep failed\n",
+    )
+
+
+def test_check_sweep_stops_at_a_table_that_misses_psi(capsys, monkeypatch):
+    # path_classes checks each table's psi total as it builds it, so the
+    # first table of the sweep raises before any line is printed
+    monkeypatch.setattr(tables, "psi", lambda n: 0)
+    tables.path_classes.cache_clear()
+    try:
+        code, out, err = run(capsys, "check", "--sweep")
+    finally:
+        tables.path_classes.cache_clear()
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "internal consistency failure: table inconsistency at (dK=-3, f=1, l=2, a=1)"
+    )
+
+
+# table outputs of the level commands and of classgroup
+TABLES = {
+    ("fiber", "--disc", "-16", "--N", "4"): """\
+fiber of X0(1,4) over J_-16
+  Q(2) [= Q(1)]      d=1     e=1 count=1
+  Q(2) [= Q(1)]      d=1     e=1 count=1
+  Q(8)               d=4     e=1 count=1
+  total e*d*count = 6 (expected 6)
+""",
+    ("x1", "--disc", "-48", "--M", "2", "--N", "6"):
+        "X1(2,6) over the point: e=1 f=1 points=1\n",
+    ("x1", "--dk", "-3", "--N", "7", "--elliptic"):
+        "X1(1,7) over the point: e=3 f=1 points=1\n",
+    ("classgroup", "--disc", "-56"): """\
+h(-56) = 4, #Pic[2] = 2
+  (1, 0, 14)
+  (2, 0, 7)
+  (3, -2, 5)
+  (3, 2, 5)
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TABLES), ids=" ".join)
+def test_table_outputs_are_pinned(capsys, argv):
+    assert run(capsys, *argv) == (0, TABLES[argv], "")
 
 
 def test_exit_codes(capsys):

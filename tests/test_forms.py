@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cmlocus.arith import ValidationError
 from cmlocus.forms import (
-    class_group_order_of,
     class_number,
     compose,
-    form_pow,
     inverse_form,
     is_ambiguous,
     prime_form,
@@ -121,14 +119,20 @@ def test_composition_with_shared_leading_factors():
 def test_class_group_order_lagrange():
     for delta in (-84, -104, -231):
         h = class_number(delta)
+        one = principal_form(delta)
         for f in reduced_forms(delta):
-            assert h % class_group_order_of(f, delta) == 0
+            # the order of each class, by iterated composition, divides h
+            power, order = f, 1
+            while power != one:
+                power = compose(power, f, delta)
+                order += 1
+            assert h % order == 0
 
 
 def test_prime_form():
     f = prime_form(-36, 5)
     assert f[0] in (2, 5) and (f[1] ** 2 - 4 * f[0] * f[2]) == -36
-    assert form_pow(prime_form(-36, 5), 2, -36) == principal_form(-36)
+    assert compose(f, f, -36) == principal_form(-36)
     with pytest.raises(ValidationError):
         prime_form(-36, 7)  # inert
 

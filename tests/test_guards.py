@@ -85,13 +85,8 @@ CASES = {
     "inverse_form": (lambda a, b, c: forms.inverse_form((a, b, c)), (3, -2, 5)),
     "compose": (lambda a, b, c, delta: forms.compose((a, b, c), (3, -2, 5), delta),
                 (3, -2, 5, -56)),
-    "form_pow": (lambda a, b, c, k, delta: forms.form_pow((a, b, c), k, delta),
-                 (3, -2, 5, 3, -56)),
     "prime_form": (forms.prime_form, (-36, 5)),
     "is_ambiguous": (lambda a, b, c: forms.is_ambiguous((a, b, c)), (3, -2, 5)),
-    "class_group_order_of": (
-        lambda a, b, c, delta: forms.class_group_order_of((a, b, c), delta), (3, -2, 5, -56)
-    ),
     "type_counts": (pathstats.type_counts, (-4, 3, 1, 1, 2)),
     "orbit_counts": (pathstats.orbit_counts, (-4, 5, 2)),
 }

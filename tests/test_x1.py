@@ -10,6 +10,12 @@ O3 = OrderDisc.from_parts(-3, 1)
 def test_elliptic_examples():
     assert x1_fiber(O4, 1, 5, "elliptic") == (2, 1, 1)
     assert x1_fiber(O3, 1, 7, "elliptic") == (3, 1, 1)
+    # (Z/N)^*/{+-1} is trivial for N <= 3, so the units fix every point:
+    # Z/3 over Q at j = 0 and Z/2 over Q at j = 1728, Olson's d = 1 cases
+    assert x1_fiber(O3, 1, 3, "elliptic") == (1, 1, 1)
+    assert x1_fiber(O4, 1, 2, "elliptic") == (1, 1, 1)
+    assert x1_fiber(O3, 1, 1, "elliptic") == (1, 1, 1)
+    assert x1_fiber(O4, 1, 1, "elliptic") == (1, 1, 1)
 
 
 def test_inert_cases():
@@ -44,7 +50,13 @@ def test_elliptic_flag_validation():
     with pytest.raises(ValidationError):
         x1_fiber(OrderDisc.from_parts(-4, 2), 1, 5, "elliptic")  # delta < -4
     with pytest.raises(ValidationError):
-        x1_fiber(O4, 1, 3, "elliptic")  # N < 4
+        x1_fiber(O4, 1, 3, "elliptic")  # 3 is inert in Z[i]
+    with pytest.raises(ValidationError):
+        x1_fiber(O3, 1, 2, "elliptic")  # 2 is inert in Z[zeta_3]
+    o7 = OrderDisc.from_parts(-7, 1)
+    assert not elliptic_compatible(o7, 1, 2)  # 2 splits, but O^* = {+-1}
+    with pytest.raises(ValidationError):
+        x1_fiber(o7, 1, 2, "elliptic")
     with pytest.raises(ValidationError):
         x1_fiber(O4, 1, 4, "elliptic")  # 2^2: no horizontal continuation
     with pytest.raises(ValidationError):
