@@ -7,6 +7,10 @@ of Q(i) and Q(sqrt(-3)) the surface descents come in parallel bundles of
 w_K/2 and two parameter sets require passing to a double cover before the
 conjugation action means anything.
 
+Each level's vertices lie in contiguous index blocks under their parents.
+A graph grows one level at a time: the graph of depth d is the cached
+graph of depth d - 1 with one more level added.
+
 This module materializes graphs for brute-force enumeration; the
 non-materializing counter lives in ``pathstats``.
 """
@@ -20,7 +24,6 @@ from .fields import check_delta_K, rcf_rel_degree, unit_count
 from .forms import (
     compose,
     inverse_form,
-    is_ambiguous,
     prime_form,
     principal_form,
     reduced_forms,
@@ -39,10 +42,8 @@ class GraphPath(namedtuple("GraphPath", "start_level edges")):
 
     @property
     def bhd(self) -> tuple[int, int, int]:
-        b = sum(1 for e in self.edges if e.kind == "up")
-        h = sum(1 for e in self.edges if e.kind == "horiz")
-        d = sum(1 for e in self.edges if e.kind == "down")
-        return (b, h, d)
+        kinds = [e.kind for e in self.edges]
+        return (kinds.count("up"), kinds.count("horiz"), kinds.count("down"))
 
 
 class GeometricPoint(namedtuple("GeometricPoint", "paths e real")):
@@ -85,8 +86,11 @@ class IsogenyGraph:
     def _freeze(self) -> "IsogenyGraph":
         self.level_counts = tuple(self.level_counts)
         self.surface_forms = tuple(self.surface_forms)
-        self.out = MappingProxyType({v: tuple(es) for v, es in self.out.items()})
-        for name in ("edges", "dual", "conj_v", "conj_e"):
+        out = self.out
+        for v, es in out.items():
+            if type(es) is list:  # a grown graph shares its base's tuples
+                out[v] = tuple(es)
+        for name in ("out", "edges", "dual", "conj_v", "conj_e"):
             setattr(self, name, MappingProxyType(getattr(self, name)))
         self._frozen = True
         return self
@@ -115,7 +119,8 @@ class IsogenyGraph:
         )
 
     def path_real(self, path: GraphPath) -> bool:
-        return all(self.edge_real(e) for e in path.edges)
+        conj_e = self.conj_e
+        return all(conj_e[e.eid] == e.eid for e in path.edges)
 
     # -- construction helpers -------------------------------------------
 
@@ -131,7 +136,11 @@ class IsogenyGraph:
 
 @lru_cache(maxsize=4)
 def build_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
-    """Build the truncated graph down to ``depth`` levels below the surface."""
+    """Build the truncated graph down to ``depth`` levels below the surface.
+
+    A graph of depth 2 or more grows one level from the graph of depth - 1,
+    which it takes from this cache; see :func:`_grow`.
+    """
     check_delta_K(delta_K)
     _check_prime(ell)
     _check_int(f0, depth)
@@ -139,18 +148,20 @@ def build_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
         raise ValidationError("f0 must be coprime to ell")
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    g = IsogenyGraph(delta_K, ell, f0, depth)
     # level m holds the h(ell^(2m) f0^2 delta_K) = [K(ell^m f0):K(1)] classes
-    g.level_counts = [rcf_rel_degree(delta_K, ell**m * f0) for m in range(depth + 1)]
-    size = sum(g.level_counts)
+    level_counts = [rcf_rel_degree(delta_K, ell**m * f0) for m in range(depth + 1)]
+    size = sum(level_counts)
     if size > VERTEX_LIMIT:
         raise ValidationError(f"graph of {size} vertices exceeds the limit {VERTEX_LIMIT}")
+    if depth > 1:
+        return _grow(build_graph(delta_K, ell, f0, depth - 1), level_counts)
 
+    g = IsogenyGraph(delta_K, ell, f0, depth)
+    g.level_counts = level_counts
     if f0 == 1:
         _build_surface_max_order(g)
     else:
         _build_surface_suborder(g)
-    _build_lower_levels(g)
     _mark_conjugation(g)
     return g._freeze()
 
@@ -232,22 +243,55 @@ def _build_surface_suborder(g: IsogenyGraph):
             g.dual[up.eid] = down.eid
 
 
-def _build_lower_levels(g: IsogenyGraph):
-    ell = g.ell
-    for m in range(1, g.depth):
-        cnt, nxt = g.level_counts[m], g.level_counts[m + 1]
-        _check_consistent(nxt == ell * cnt, f"level {m + 1} is not ell times level {m}")
-        for i in range(cnt):
-            src = Vertex(0, m, i)
-            for j in range(ell):
-                tv = Vertex(0, m + 1, ell * i + j)
-                down = g._add_edge(src, tv, "down")
-                up = g._add_edge(tv, src, "up")
-                g.dual[down.eid] = up.eid
-                g.dual[up.eid] = down.eid
-    for m in range(1, g.depth + 1):
-        for i in range(g.level_counts[m]):
-            g.out.setdefault(Vertex(0, m, i), [])
+def _grow(base: IsogenyGraph, level_counts) -> IsogenyGraph:
+    """The graph one level deeper than ``base``.
+
+    Every vertex of ``base``'s deepest level m - 1 gets ell children, the
+    block of level-m indices ell*i ... ell*i + ell - 1 under vertex i, each
+    with its down edge and then its up edge, so the down edge into child k
+    has eid first + 2k and its up edge first + 2k + 1.  The levels above are
+    copied from ``base``, sharing its vertices, edges and out tuples.
+    """
+    ell, m = base.ell, base.depth + 1
+    g = IsogenyGraph(base.delta_K, ell, base.f0, m)
+    g.level_counts = level_counts
+    g.surface_forms = base.surface_forms
+    g.out, g.edges, g.dual, g.conj_v, g.conj_e = (
+        dict(d) for d in (base.out, base.edges, base.dual, base.conj_v, base.conj_e)
+    )
+    out, edges, dual, conj_e = g.out, g.edges, g.dual, g.conj_e
+    cnt = level_counts[m - 1]
+    _check_consistent(level_counts[m] == ell * cnt, f"level {m} is not ell times level {m - 1}")
+    parents = [Vertex(0, m - 1, i) for i in range(cnt)]
+    level = [Vertex(0, m, k) for k in range(ell * cnt)]
+    first = len(edges)
+    for i, src in enumerate(parents):
+        downs = []
+        for k in range(ell * i, ell * i + ell):
+            eid, tv = first + 2 * k, level[k]
+            down = Edge(eid, src, tv, "down", 0)
+            up = Edge(eid + 1, tv, src, "up", 0)
+            edges[eid] = down
+            edges[eid + 1] = up
+            downs.append(down)
+            out[tv] = (up,)
+            dual[eid] = eid + 1
+            dual[eid + 1] = eid
+        out[src] += tuple(downs)
+
+    conj_prev = [g.conj_v[v].index for v in parents]
+    conj = _mark_level(g, m, conj_prev, level)
+    # the down edge into child k conjugates to the down edge into conj(k),
+    # which starts at the conjugate of k's parent only if conjugation
+    # commutes with the up map
+    _check_consistent(
+        all(ck // ell == conj_prev[k // ell] for k, ck in enumerate(conj)),
+        f"level {m}: conjugation does not commute with the up map",
+    )
+    for k, ck in enumerate(conj):
+        conj_e[first + 2 * k] = first + 2 * ck
+        conj_e[first + 2 * k + 1] = first + 2 * ck + 1
+    return g._freeze()
 
 
 def _rtor(g: IsogenyGraph, m: int) -> int:
@@ -255,101 +299,77 @@ def _rtor(g: IsogenyGraph, m: int) -> int:
 
 
 def _mark_conjugation(g: IsogenyGraph):
-    ell = g.ell
-    # vertex involution level by level
-    real_prev: list[int] = []
+    """Conjugate the vertices and edges of a depth-1 graph."""
     if g.f0 == 1:
-        g.conj_v[Vertex(0, 0, 0)] = Vertex(0, 0, 0)
-        real_prev = [0]
+        conj0 = [0]
     else:
-        for i, f in enumerate(g.surface_forms):
-            j = g.surface_forms.index(inverse_form(f))
-            g.conj_v[Vertex(0, 0, i)] = Vertex(0, 0, j)
-        real_prev = [i for i, f in enumerate(g.surface_forms) if is_ambiguous(f)]
-        _check_consistent(len(real_prev) == _rtor(g, 0), "ambiguous forms miss #Pic[2]")
-
-    # each vertex's up edge under (src, "up"), and the down edges from src
-    # to dst, in parallel order, under (src, dst): one pass over the edges
-    index: dict = {}
-    for e in g.edges.values():
-        if e.kind == "up":
-            index[(e.src, "up")] = e
-        elif e.kind == "down":
-            index.setdefault((e.src, e.dst), []).append(e)
-
-    parent_of: dict[tuple[int, int], int] = {}
-    children_of: dict[tuple[int, int], list[int]] = {}
-    for m in range(1, g.depth + 1):
-        for i in range(g.level_counts[m]):
-            up = index[(Vertex(0, m, i), "up")]
-            parent_of[(m, i)] = up.dst.index
-            children_of.setdefault((m - 1, up.dst.index), []).append(i)
-
-    for m in range(1, g.depth + 1):
-        r_here = _rtor(g, m)
-        reals = _distribute_reals(
-            g, m, real_prev, children_of, parent_of, r_here
-        )
-        realset = set(reals)
-        # pair complex vertices: children of conjugate parents map blockwise,
-        # leftovers inside a real parent's block pair consecutively
-        conj_idx: dict[int, int] = {i: i for i in reals}
-        for p in real_prev:
-            block = [
-                c for c in children_of.get((m - 1, p), []) if c not in realset
-            ]
-            for x, y in zip(block[0::2], block[1::2]):
-                conj_idx[x] = y
-                conj_idx[y] = x
-            _check_consistent(len(block) % 2 == 0, "odd block of complex vertices")
-        for p in range(g.level_counts[m - 1]):
-            q = g.conj_v[Vertex(0, m - 1, p)].index
-            if q == p:
-                continue
-            bp = children_of.get((m - 1, p), [])
-            bq = children_of.get((m - 1, q), [])
-            for x, y in zip(bp, bq):
-                conj_idx[x] = y
-        for i in range(g.level_counts[m]):
-            g.conj_v[Vertex(0, m, i)] = Vertex(0, m, conj_idx[i])
-        real_prev = reals
-
-    _mark_edge_conjugation(g, index)
+        forms = g.surface_forms
+        conj0 = [forms.index(inverse_form(f)) for f in forms]
+        real0 = sum(1 for i, j in enumerate(conj0) if i == j)
+        _check_consistent(real0 == _rtor(g, 0), "ambiguous forms miss #Pic[2]")
+    for i, j in enumerate(conj0):
+        g.conj_v[Vertex(0, 0, i)] = Vertex(0, 0, j)
+    _mark_level(g, 1, conj0, [Vertex(0, 1, i) for i in range(g.level_counts[1])])
+    _mark_edge_conjugation(g)
 
 
-def _distribute_reals(g, m, real_parents, children_of, parent_of, r_here):
-    """Pick the real vertices at level ``m`` under the marked-first rules."""
-    ell = g.ell
+def _mark_level(g: IsogenyGraph, m: int, conj_prev: list[int], level: list) -> list[int]:
+    """Conjugate the vertices of level ``m`` (``level``, in index order) into
+    ``g.conj_v`` and return each one's conjugate index.
+
+    ``conj_prev[p]`` is the conjugate of vertex p of level m - 1, and the
+    children of p are the contiguous block p*c ... p*c + c - 1.
+    """
+    n = len(level)
+    c = n // len(conj_prev)
+    real_prev = [p for p, q in enumerate(conj_prev) if p == q]
+    reals = _distribute_reals(g, m, real_prev, c, _rtor(g, m))
+    realset = set(reals)
+    # pair complex vertices: children of conjugate parents map blockwise,
+    # leftovers inside a real parent's block pair consecutively
+    conj = list(range(n))
+    for p in real_prev:
+        block = [x for x in range(p * c, p * c + c) if x not in realset]
+        for x, y in zip(block[0::2], block[1::2]):
+            conj[x] = y
+            conj[y] = x
+        _check_consistent(len(block) % 2 == 0, "odd block of complex vertices")
+    for p, q in enumerate(conj_prev):
+        if q != p:
+            conj[p * c:p * c + c] = range(q * c, q * c + c)
+    for v, j in zip(level, conj):
+        g.conj_v[v] = level[j]
+    return conj
+
+
+def _distribute_reals(g, m, real_parents, c, r_here):
+    """Pick the real vertices at level ``m`` under the marked-first rules;
+    the ``c`` children of parent p are p*c ... p*c + c - 1."""
     if m == 1 and g.f0 == 1:
         return list(range(r_here))
     surface_junction = m == 1
     ordered = _priority(g, m - 1, real_parents)
-    per_parent = {
-        p: children_of.get((m - 1, p), []) for p in ordered
-    }
-    child_count = len(per_parent[ordered[0]]) if ordered else 0
-    reals: list[int] = []
-    if child_count % 2 == 1:
+    if c % 2 == 1:
         _check_consistent(r_here == len(ordered), f"level {m}: real children miss parents")
-        for p in ordered:
-            reals.append(per_parent[p][0])
-        return sorted(reals)
+        return sorted(p * c for p in ordered)
     _check_consistent(r_here % 2 == 0, f"level {m}: odd count of real vertices")
     fertile_needed = r_here // 2
     if surface_junction or 2 * len(ordered) == r_here:
         fertile = ordered[:fertile_needed]
     else:
         # pair rule: one fertile parent per sibling pair
+        c_up = g.level_counts[m - 1] // g.level_counts[m - 2]
         groups: dict[int, list[int]] = {}
         for p in ordered:
-            groups.setdefault(parent_of[(m - 1, p)], []).append(p)
+            groups.setdefault(p // c_up, []).append(p)
         fertile = []
         for gp in groups.values():
             _check_consistent(len(gp) == 2, "real parents are not sibling pairs")
             fertile.append(min(gp))
         _check_consistent(len(fertile) == fertile_needed, f"level {m}: wrong fertile count")
+    reals: list[int] = []
     for p in fertile:
-        reals.extend(per_parent[p][:2])
+        reals.extend((p * c, p * c + 1))
     return sorted(reals)
 
 
@@ -367,16 +387,24 @@ def _priority(g, level, reals):
     return out
 
 
-def _mark_edge_conjugation(g: IsogenyGraph, index: dict):
-    """Conjugate every edge; ``index`` is ``_mark_conjugation``'s edge index."""
+def _mark_edge_conjugation(g: IsogenyGraph):
+    """Conjugate every edge of a depth-1 graph."""
     dK = g.delta_K
     split = kronecker(g.f0 * g.f0 * dK, g.ell) == 1
+    # each vertex's up edge under (src, "up"), and the down edges from src
+    # to dst, in parallel order, under (src, dst): one pass over the edges
+    index: dict = {}
+    for e in g.edges.values():
+        if e.kind == "up":
+            index[(e.src, "up")] = e
+        elif e.kind == "down":
+            index.setdefault((e.src, e.dst), []).append(e)
     for edges in list(g.out.values()):
         for e in edges:
             cv, cw = g.conj_v[e.src], g.conj_v[e.dst]
             if e.kind == "up":
                 g.conj_e[e.eid] = index[(cv, "up")].eid
-            elif e.kind == "down" and (e.src.level >= 1 or g.f0 > 1):
+            elif e.kind == "down" and g.f0 > 1:
                 g.conj_e[e.eid] = index[(cv, cw)][0].eid
             elif e.kind == "down":
                 # surface bundle over a maximal order
@@ -458,7 +486,7 @@ def conjugation_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
 
 
 PATH_LIMIT = 3_000_000
-VERTEX_LIMIT = 1_000_000  # vertices one build_graph may materialize
+VERTEX_LIMIT = 100_000  # vertices one build_graph may materialize
 
 
 def enumerate_paths(graph: IsogenyGraph, start_level: int, a: int) -> list[GraphPath]:
@@ -469,20 +497,25 @@ def enumerate_paths(graph: IsogenyGraph, start_level: int, a: int) -> list[Graph
         raise ValidationError("need start_level >= 0 and a >= 0")
     if start_level + a > graph.depth:
         raise ValidationError("graph too shallow for this enumeration")
+    if a == 0:
+        return [GraphPath(start_level, ())]
     out: list[GraphPath] = []
     stack: list[Edge] = []
+    edges_from, dual = graph.out, graph.dual
 
-    def rec(v: Vertex, prev: Edge | None, remaining: int):
-        if remaining == 0:
-            out.append(GraphPath(start_level, tuple(stack)))
-            if len(out) > PATH_LIMIT:
-                raise ValidationError("path enumeration limit exceeded")
-            return
-        for e in graph.out[v]:
-            if prev is not None and graph.dual[prev.eid] == e.eid:
+    def rec(v: Vertex, back: int | None, remaining: int):
+        # ``back`` is the dual of the edge into v: the one step not allowed;
+        # the last step of a path ends it here, without a call
+        for e in edges_from[v]:
+            if e.eid == back:
                 continue
             stack.append(e)
-            rec(e.dst, e, remaining - 1)
+            if remaining > 1:
+                rec(e.dst, dual[e.eid], remaining - 1)
+            else:
+                out.append(GraphPath(start_level, tuple(stack)))
+                if len(out) > PATH_LIMIT:
+                    raise ValidationError("path enumeration limit exceeded")
             stack.pop()
 
     rec(graph.marked(start_level), None, a)

@@ -1,9 +1,11 @@
+import hashlib
 from collections import Counter
 
 import pytest
 
 from cmlocus import graph as G
 from cmlocus.arith import ValidationError, psi
+from cmlocus.fields import rcf_rel_degree
 from cmlocus.forms import two_torsion_count
 from cmlocus.graph import (
     build_graph,
@@ -278,6 +280,8 @@ def test_backtracking_after_ascend():
     shapes = Counter(p.bhd for p in paths)
     assert shapes[(1, 0, 1)] == 3  # 4 parallel exits minus the dual
     assert len(paths) == psi(25)
+    # length 0: the one empty path at the marked vertex
+    assert [(p.start_level, p.edges) for p in enumerate_paths(g, 1, 0)] == [(1, ())]
 
 
 def test_path_limit_is_read_at_call_time(monkeypatch):
@@ -286,3 +290,95 @@ def test_path_limit_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(G, "PATH_LIMIT", 5)
     with pytest.raises(ValidationError, match="path enumeration limit"):
         enumerate_paths(g, 0, 2)
+
+
+def _structure(g):
+    return (
+        g.level_counts,
+        tuple(g.out.items()),
+        tuple(g.edges.items()),
+        sorted(g.dual.items()),
+        sorted(g.conj_v.items()),
+        sorted(g.conj_e.items()),
+        g.surface_forms,
+    )
+
+
+def test_graph_structure_is_pinned():
+    # every conjugation graph of at most 2,000 vertices over ell in
+    # {2, 3, 5, 7, 13}, f0 <= 5 and depth <= 4: vertices, edges and eids,
+    # duals, conjugation, and the order of out and edges
+    h = hashlib.sha256()
+    built = 0
+    for dK in (-3, -4):
+        for ell in (2, 3, 5, 7, 13):
+            for f0 in range(1, 6):
+                if f0 % ell == 0:
+                    continue
+                for depth in range(1, 5):
+                    size = sum(rcf_rel_degree(dK, ell**m * f0) for m in range(depth + 1))
+                    if size > 2000:
+                        continue
+                    g = conjugation_graph(dK, ell, f0, depth)
+                    h.update(repr(((dK, ell, f0, depth), _structure(g))).encode())
+                    built += 1
+    assert built == 142
+    assert h.hexdigest() == (
+        "5da30be11b79a4f8517d047562194b4e969b7b846e8ef0031fb555cb9997d68f"
+    )
+
+
+def test_vertex_limit_refuses_before_building(monkeypatch):
+    # 2^17 = 131,072 vertices is past VERTEX_LIMIT = 10^5: refused before
+    # any graph, and so any vertex, is made
+    build_graph.cache_clear()
+
+    def no_graph(*args):
+        raise AssertionError("a graph was made past VERTEX_LIMIT")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(G, "IsogenyGraph", no_graph)
+        with pytest.raises(ValidationError, match="exceeds the limit 100000"):
+            build_graph(-3, 2, 1, 17)
+    g = build_graph(-3, 2, 1, 16)
+    assert len(g.out) == sum(g.level_counts) == 2**16
+    build_graph.cache_clear()
+
+
+GROWN = [(-4, 2, 1), (-3, 3, 1), (-4, 5, 1), (-3, 2, 5), (-4, 3, 2)]
+
+
+@pytest.mark.parametrize("dK,ell,f0", GROWN)
+def test_grown_graph_equals_cold_build(dK, ell, f0):
+    build_graph.cache_clear()
+    cold = build_graph(dK, ell, f0, 5)
+    assert build_graph.cache_info().currsize <= 4
+    build_graph.cache_clear()
+    for depth in range(1, 5):
+        build_graph(dK, ell, f0, depth)
+    grown = build_graph(dK, ell, f0, 5)
+    assert grown is not cold
+    for name in ("out", "edges", "dual", "conj_v", "conj_e"):
+        assert dict(getattr(grown, name)) == dict(getattr(cold, name)), name
+    assert tuple(grown.out) == tuple(cold.out)
+    assert tuple(grown.edges) == tuple(cold.edges)
+    assert to_dot(grown) == to_dot(cold)
+
+
+def test_grow_checks_that_conjugation_commutes_with_up(monkeypatch):
+    # swap the conjugates of a child of parent 0 and a child of parent 1:
+    # conjugation no longer maps siblings to siblings
+    real_mark_level = G._mark_level
+
+    def swapped(g, m, conj_prev, level):
+        conj = real_mark_level(g, m, conj_prev, level)
+        ell = g.ell
+        conj[0], conj[ell] = conj[ell], conj[0]
+        return conj
+
+    build_graph.cache_clear()
+    build_graph(-4, 5, 1, 1)
+    monkeypatch.setattr(G, "_mark_level", swapped)
+    with pytest.raises(AssertionError, match="does not commute with the up map"):
+        build_graph(-4, 5, 1, 2)
+    build_graph.cache_clear()
