@@ -35,7 +35,11 @@ def in_S(f: int, delta_K: int) -> bool:
     """True iff f^2 * delta_K has class number one, i.e. lies in
     D = {-3, -4, -12, -16, -27}: the conductors 1, 2, 3 over Q(sqrt(-3))
     and 1, 2 over Q(i)."""
-    return rcf_rel_degree(delta_K, f) == 1
+    _check_int(delta_K, f)
+    if f <= 0:
+        raise ValidationError(f"conductor must be positive, got {f}")
+    check_delta_K(delta_K)
+    return f in ((1, 2, 3) if delta_K == -3 else (1, 2))
 
 
 @lru_cache(maxsize=2048)
@@ -65,9 +69,6 @@ def canonical_conductor(delta_K: int, m: int) -> int:
     to m0 = 1, where the units w_K / 2 enter, and it happens exactly when
     d(m) = d(1) = 1.
     """
-    # a hit in rcf_rel_degree's untyped cache skips its guard, so 6.0 would
-    # come back as 6.0
-    _check_int(delta_K, m)
     return 1 if in_S(m, delta_K) else m
 
 

@@ -9,7 +9,10 @@ conjugation action means anything.
 
 Each level's vertices lie in contiguous index blocks under their parents.
 A graph grows one level at a time: the graph of depth d is the cached
-graph of depth d - 1 with one more level added.
+graph of depth d - 1 with one more level added, and a suborder's level 1
+grows the same way from its bare surface.  A double cover is two
+positional copies of its cached base graph, joined by the two lifts of
+the surface loop.
 
 This module materializes graphs for brute-force enumeration; the
 non-materializing counter lives in ``pathstats``.
@@ -141,6 +144,17 @@ def build_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
     A graph of depth 2 or more grows one level from the graph of depth - 1,
     which it takes from this cache; see :func:`_grow`.
     """
+    level_counts = _checked_level_counts(delta_K, ell, f0, depth)
+    if depth > 1:
+        return _grow(build_graph(delta_K, ell, f0, depth - 1), level_counts)
+    if f0 == 1:
+        return _build_max_order(delta_K, ell, level_counts)
+    return _grow(_build_surface_suborder(delta_K, ell, f0, level_counts[:1]), level_counts)
+
+
+def _checked_level_counts(delta_K, ell, f0, depth, copies=1) -> list[int]:
+    """Each level's vertex count, once the parameters pass the guards and
+    ``copies`` graphs of these levels fit in ``VERTEX_LIMIT`` vertices."""
     check_delta_K(delta_K)
     _check_prime(ell)
     _check_int(f0, depth)
@@ -150,40 +164,35 @@ def build_graph(delta_K, ell, f0, depth) -> IsogenyGraph:
         raise ValidationError("depth must be >= 1")
     # level m holds the h(ell^(2m) f0^2 delta_K) = [K(ell^m f0):K(1)] classes
     level_counts = [rcf_rel_degree(delta_K, ell**m * f0) for m in range(depth + 1)]
-    size = sum(level_counts)
+    size = copies * sum(level_counts)
     if size > VERTEX_LIMIT:
         raise ValidationError(f"graph of {size} vertices exceeds the limit {VERTEX_LIMIT}")
-    if depth > 1:
-        return _grow(build_graph(delta_K, ell, f0, depth - 1), level_counts)
+    return level_counts
 
-    g = IsogenyGraph(delta_K, ell, f0, depth)
+
+def _build_max_order(dK, ell, level_counts) -> IsogenyGraph:
+    """The depth-1 graph over a maximal order: one surface vertex, its
+    loops, and a bundle of w_K/2 parallel descents to each level-1 vertex."""
+    g = IsogenyGraph(dK, ell, 1, 1)
     g.level_counts = level_counts
-    if f0 == 1:
-        _build_surface_max_order(g)
-    else:
-        _build_surface_suborder(g)
-    _mark_conjugation(g)
-    return g._freeze()
-
-
-def _build_surface_max_order(g: IsogenyGraph):
-    ell, dK = g.ell, g.delta_K
     chi = kronecker(dK, ell)
     w2 = unit_count(dK) // 2
     v0 = Vertex(0, 0, 0)
     g.out[v0] = []
-    # horizontal loops
+    # horizontal loops; conjugation, like the dual, swaps the two where
+    # ell splits
     if chi == 1:
         p = g._add_edge(v0, v0, "horiz", 0)
         q = g._add_edge(v0, v0, "horiz", 1)
-        g.dual[p.eid] = q.eid
-        g.dual[q.eid] = p.eid
+        g.dual[p.eid] = g.conj_e[p.eid] = q.eid
+        g.dual[q.eid] = g.conj_e[q.eid] = p.eid
     elif chi == 0:
         p = g._add_edge(v0, v0, "horiz", 0)
-        g.dual[p.eid] = p.eid
+        g.dual[p.eid] = g.conj_e[p.eid] = p.eid
     # descent bundles
     n1 = (ell - chi) // w2
-    _check_consistent(n1 == g.level_counts[1], "surface descent bundles miss level 1")
+    _check_consistent(n1 == level_counts[1], "surface descent bundles miss level 1")
+    ups, bundles = [], []
     for t in range(n1):
         tv = Vertex(0, 1, t)
         up = g._add_edge(tv, v0, "up")
@@ -191,10 +200,30 @@ def _build_surface_max_order(g: IsogenyGraph):
         g.dual[up.eid] = downs[0].eid
         for e in downs:
             g.dual[e.eid] = up.eid
+        ups.append(up.eid)
+        bundles.append(downs)
+
+    g.conj_v[v0] = v0
+    conj = _mark_level(g, 1, [0], [Vertex(0, 1, t) for t in range(n1)])
+    # a bundle maps onto its conjugate's bundle in parallel order; within a
+    # real bundle conjugation swaps the two descents over Q(i), but for the
+    # marked bundle, and fixes the first of the three over Q(sqrt(-3))
+    for t, ct in enumerate(conj):
+        g.conj_e[ups[t]] = ups[ct]
+        if ct != t or (dK == -4 and t == 0):
+            perm = range(w2)
+        else:
+            perm = (1, 0) if dK == -4 else (0, 2, 1)
+        for e, k in zip(bundles[t], perm):
+            g.conj_e[e.eid] = bundles[ct][k].eid
+    return g._freeze()
 
 
-def _build_surface_suborder(g: IsogenyGraph):
-    ell, dK, f0 = g.ell, g.delta_K, g.f0
+def _build_surface_suborder(dK, ell, f0, level_counts) -> IsogenyGraph:
+    """The depth-0 graph over a suborder: its surface forms, horizontal
+    edges and their conjugation; :func:`_grow` adds level 1."""
+    g = IsogenyGraph(dK, ell, f0, 0)
+    g.level_counts = level_counts
     disc0 = f0 * f0 * dK
     chi = kronecker(disc0, ell)
     forms = reduced_forms(disc0)
@@ -209,8 +238,14 @@ def _build_surface_suborder(g: IsogenyGraph):
     g.surface_forms = order
     index_of = {f: i for i, f in enumerate(order)}
 
-    for i, f in enumerate(order):
-        g.out.setdefault(Vertex(0, 0, i), [])
+    conj0 = [index_of[inverse_form(f)] for f in order]
+    _check_consistent(
+        sum(1 for i, j in enumerate(conj0) if i == j) == _rtor(g, 0),
+        "ambiguous forms miss #Pic[2]",
+    )
+    for i, j in enumerate(conj0):
+        g.out[Vertex(0, 0, i)] = []
+        g.conj_v[Vertex(0, 0, i)] = Vertex(0, 0, j)
     p_edge: dict[int, Edge] = {}
     pbar_edge: dict[int, Edge] = {}
     if chi != -1:
@@ -223,36 +258,34 @@ def _build_surface_suborder(g: IsogenyGraph):
                 pbar_edge[i] = g._add_edge(
                     Vertex(0, 0, i), Vertex(0, 0, tgt2), "horiz", 1
                 )
+        # an edge conjugates to the edge at its conjugate source, the other
+        # parallel where ell splits
         for i in range(len(order)):
             ti = p_edge[i].dst.index
             if chi == 1:
                 g.dual[p_edge[i].eid] = pbar_edge[ti].eid
                 g.dual[pbar_edge[i].eid] = p_edge[pbar_edge[i].dst.index].eid
+                g.conj_e[p_edge[i].eid] = pbar_edge[conj0[i]].eid
+                g.conj_e[pbar_edge[i].eid] = p_edge[conj0[i]].eid
             else:
                 g.dual[p_edge[i].eid] = p_edge[ti].eid
-    # simple descents, contiguous blocks
-    k0 = ell - chi
-    _check_consistent(k0 * len(order) == g.level_counts[1], "surface descents miss level 1")
-    for i in range(len(order)):
-        src = Vertex(0, 0, i)
-        for j in range(k0):
-            tv = Vertex(0, 1, i * k0 + j)
-            down = g._add_edge(src, tv, "down")
-            up = g._add_edge(tv, src, "up")
-            g.dual[down.eid] = up.eid
-            g.dual[up.eid] = down.eid
+                g.conj_e[p_edge[i].eid] = p_edge[conj0[i]].eid
+    return g._freeze()
 
 
 def _grow(base: IsogenyGraph, level_counts) -> IsogenyGraph:
     """The graph one level deeper than ``base``.
 
-    Every vertex of ``base``'s deepest level m - 1 gets ell children, the
-    block of level-m indices ell*i ... ell*i + ell - 1 under vertex i, each
-    with its down edge and then its up edge, so the down edge into child k
-    has eid first + 2k and its up edge first + 2k + 1.  The levels above are
-    copied from ``base``, sharing its vertices, edges and out tuples.
+    Every vertex of ``base``'s deepest level m - 1 gets c children, the
+    block of level-m indices c*i ... c*i + c - 1 under vertex i, each with
+    its down edge and then its up edge, so the down edge into child k has
+    eid first + 2k and its up edge first + 2k + 1.  Below the surface c is
+    ell; from a suborder's surface it is ell - chi, as 1 + chi of a surface
+    vertex's ell + 1 edges are horizontal.  The levels above are copied
+    from ``base``, sharing its vertices, edges and out tuples.
     """
     ell, m = base.ell, base.depth + 1
+    c = ell if m > 1 else ell - kronecker(base.level_disc(0), ell)
     g = IsogenyGraph(base.delta_K, ell, base.f0, m)
     g.level_counts = level_counts
     g.surface_forms = base.surface_forms
@@ -261,13 +294,13 @@ def _grow(base: IsogenyGraph, level_counts) -> IsogenyGraph:
     )
     out, edges, dual, conj_e = g.out, g.edges, g.dual, g.conj_e
     cnt = level_counts[m - 1]
-    _check_consistent(level_counts[m] == ell * cnt, f"level {m} is not ell times level {m - 1}")
+    _check_consistent(level_counts[m] == c * cnt, f"level {m} is not {c} times level {m - 1}")
     parents = [Vertex(0, m - 1, i) for i in range(cnt)]
-    level = [Vertex(0, m, k) for k in range(ell * cnt)]
+    level = [Vertex(0, m, k) for k in range(c * cnt)]
     first = len(edges)
     for i, src in enumerate(parents):
         downs = []
-        for k in range(ell * i, ell * i + ell):
+        for k in range(c * i, c * i + c):
             eid, tv = first + 2 * k, level[k]
             down = Edge(eid, src, tv, "down", 0)
             up = Edge(eid + 1, tv, src, "up", 0)
@@ -285,7 +318,7 @@ def _grow(base: IsogenyGraph, level_counts) -> IsogenyGraph:
     # which starts at the conjugate of k's parent only if conjugation
     # commutes with the up map
     _check_consistent(
-        all(ck // ell == conj_prev[k // ell] for k, ck in enumerate(conj)),
+        all(ck // c == conj_prev[k // c] for k, ck in enumerate(conj)),
         f"level {m}: conjugation does not commute with the up map",
     )
     for k, ck in enumerate(conj):
@@ -296,21 +329,6 @@ def _grow(base: IsogenyGraph, level_counts) -> IsogenyGraph:
 
 def _rtor(g: IsogenyGraph, m: int) -> int:
     return two_torsion_count(g.level_disc(m))
-
-
-def _mark_conjugation(g: IsogenyGraph):
-    """Conjugate the vertices and edges of a depth-1 graph."""
-    if g.f0 == 1:
-        conj0 = [0]
-    else:
-        forms = g.surface_forms
-        conj0 = [forms.index(inverse_form(f)) for f in forms]
-        real0 = sum(1 for i, j in enumerate(conj0) if i == j)
-        _check_consistent(real0 == _rtor(g, 0), "ambiguous forms miss #Pic[2]")
-    for i, j in enumerate(conj0):
-        g.conj_v[Vertex(0, 0, i)] = Vertex(0, 0, j)
-    _mark_level(g, 1, conj0, [Vertex(0, 1, i) for i in range(g.level_counts[1])])
-    _mark_edge_conjugation(g)
 
 
 def _mark_level(g: IsogenyGraph, m: int, conj_prev: list[int], level: list) -> list[int]:
@@ -387,94 +405,43 @@ def _priority(g, level, reals):
     return out
 
 
-def _mark_edge_conjugation(g: IsogenyGraph):
-    """Conjugate every edge of a depth-1 graph."""
-    dK = g.delta_K
-    split = kronecker(g.f0 * g.f0 * dK, g.ell) == 1
-    # each vertex's up edge under (src, "up"), and the down edges from src
-    # to dst, in parallel order, under (src, dst): one pass over the edges
-    index: dict = {}
-    for e in g.edges.values():
-        if e.kind == "up":
-            index[(e.src, "up")] = e
-        elif e.kind == "down":
-            index.setdefault((e.src, e.dst), []).append(e)
-    for edges in list(g.out.values()):
-        for e in edges:
-            cv, cw = g.conj_v[e.src], g.conj_v[e.dst]
-            if e.kind == "up":
-                g.conj_e[e.eid] = index[(cv, "up")].eid
-            elif e.kind == "down" and g.f0 > 1:
-                g.conj_e[e.eid] = index[(cv, cw)][0].eid
-            elif e.kind == "down":
-                # surface bundle over a maximal order
-                bundle = index[(cv, cw)]
-                if g.conj_v[e.dst] != e.dst:
-                    g.conj_e[e.eid] = bundle[e.parallel].eid
-                elif dK == -4:
-                    if e.dst.index == 0:
-                        g.conj_e[e.eid] = e.eid
-                    else:
-                        g.conj_e[e.eid] = bundle[1 - e.parallel].eid
-                else:
-                    perm = {0: 0, 1: 2, 2: 1}
-                    g.conj_e[e.eid] = bundle[perm[e.parallel]].eid
-            else:
-                # horizontal: the edge at the conjugate source, the other
-                # parallel where ell splits in f0^2 delta_K
-                g.conj_e[e.eid] = next(
-                    x.eid
-                    for x in g.out[cv]
-                    if x.kind == "horiz" and (not split or x.parallel != e.parallel)
-                )
-
-
 @lru_cache(maxsize=4)
 def double_cover(delta_K, ell, f0, depth) -> IsogenyGraph:
-    """Unwrap the surface loop of the (-4, 2, 1) / (-3, 3, 1) graphs."""
+    """Unwrap the surface loop of the (-4, 2, 1) / (-3, 3, 1) graphs.
+
+    Edge i of the base graph in its out order, its loop left out, becomes
+    eid i in copy 0 and n + i in copy 1; duals and conjugates map through
+    the same positions.  The two lifts of the loop join the copies.
+    """
     if (delta_K, ell, f0) not in COVER_PARAMS:
         raise ValidationError(f"no double cover for ({delta_K}, {ell}, {f0})")
+    _checked_level_counts(delta_K, ell, f0, depth, copies=2)
     base = build_graph(delta_K, ell, f0, depth)
+    order = [e for es in base.out.values() for e in es if e.kind != "horiz"]
+    pos = {e.eid: i for i, e in enumerate(order)}
+    n = len(order)
     g = IsogenyGraph(delta_K, ell, f0, depth, doubled=True)
-    g.level_counts = list(base.level_counts)
-
-    def lift(v: Vertex, copy: int) -> Vertex:
-        return Vertex(copy, v.level, v.index)
-
-    copies: dict[tuple[int, int], Edge] = {}
+    g.level_counts = base.level_counts
     for copy in (0, 1):
-        for v, edges in base.out.items():
-            g.out.setdefault(lift(v, copy), [])
-            for e in edges:
-                if e.kind == "horiz":
-                    continue
-                ne = g._add_edge(lift(e.src, copy), lift(e.dst, copy), e.kind, e.parallel)
-                copies[(e.eid, copy)] = ne
-    for (eid, copy), ne in copies.items():
-        g.dual[ne.eid] = copies[(base.dual[eid], copy)].eid
+        lift = {v: Vertex(copy, v.level, v.index) for v in base.out}
+        for v in base.out:
+            g.out[lift[v]] = []
+            g.conj_v[lift[v]] = lift[base.conj_v[v]]
+        for i, e in enumerate(order, copy * n):
+            ne = Edge(i, lift[e.src], lift[e.dst], e.kind, e.parallel)
+            g.edges[i] = ne
+            g.out[ne.src].append(ne)
+            g.dual[i] = copy * n + pos[base.dual[e.eid]]
+            if copy and delta_K == -4 and e.kind == "down" and e.src.level == 0:
+                # in the far copy the surface descents are complex: each
+                # maps to the other edge of its bundle
+                g.conj_e[i] = i + 1 - 2 * e.parallel
+            else:
+                g.conj_e[i] = copy * n + pos[base.conj_e[e.eid]]
     cross01 = g._add_edge(Vertex(0, 0, 0), Vertex(1, 0, 0), "horiz", 0)
     cross10 = g._add_edge(Vertex(1, 0, 0), Vertex(0, 0, 0), "horiz", 0)
-    g.dual[cross01.eid] = cross10.eid
-    g.dual[cross10.eid] = cross01.eid
-
-    for v in base.conj_v:
-        for copy in (0, 1):
-            g.conj_v[lift(v, copy)] = lift(base.conj_v[v], copy)
-    for (eid, copy), ne in copies.items():
-        mate = base.conj_e[eid]
-        if delta_K == -4 and copy == 1 and base.edges[eid].kind == "down" \
-                and base.edges[eid].src.level == 0:
-            # in the far copy the surface descents are complex
-            flipped = next(
-                x
-                for x in g.out[ne.src]
-                if x.kind == "down" and x.dst == ne.dst and x.parallel == 1 - ne.parallel
-            )
-            g.conj_e[ne.eid] = flipped.eid
-        else:
-            g.conj_e[ne.eid] = copies[(mate, copy)].eid
-    g.conj_e[cross01.eid] = cross01.eid
-    g.conj_e[cross10.eid] = cross10.eid
+    g.dual[cross01.eid], g.dual[cross10.eid] = cross10.eid, cross01.eid
+    g.conj_e[cross01.eid], g.conj_e[cross10.eid] = cross01.eid, cross10.eid
     return g._freeze()
 
 

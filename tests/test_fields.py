@@ -69,10 +69,19 @@ def test_in_S():
             in_S(f, -4)
 
 
+def test_in_S_is_class_number_one():
+    for dK in (-3, -4):
+        for m in range(1, 2001):
+            assert in_S(m, dK) == (rcf_rel_degree(dK, m) == 1), (dK, m)
+
+
 def test_canonical_conductor_collapses():
     assert canonical_conductor(-3, 2) == 1
     assert canonical_conductor(-3, 3) == 1
     assert canonical_conductor(-4, 2) == 1
+    # answered without factorizing, so past FACTOR_LIMIT too
+    assert canonical_conductor(-4, 2 * 10**30) == 2 * 10**30
+    assert K(2 * 10**30, -4).canonical_m() == 2 * 10**30
     assert canonical_conductor(-3, 6) == 6
     # the definition, by brute force: the smallest divisor of m whose ring
     # class field has the same degree

@@ -330,8 +330,10 @@ def test_graph_structure_is_pinned():
 
 def test_vertex_limit_refuses_before_building(monkeypatch):
     # 2^17 = 131,072 vertices is past VERTEX_LIMIT = 10^5: refused before
-    # any graph, and so any vertex, is made
+    # any graph, and so any vertex, is made; so is the 177,148-vertex cover
+    # of an 88,574-vertex base, before either graph
     build_graph.cache_clear()
+    double_cover.cache_clear()
 
     def no_graph(*args):
         raise AssertionError("a graph was made past VERTEX_LIMIT")
@@ -340,6 +342,8 @@ def test_vertex_limit_refuses_before_building(monkeypatch):
         mp.setattr(G, "IsogenyGraph", no_graph)
         with pytest.raises(ValidationError, match="exceeds the limit 100000"):
             build_graph(-3, 2, 1, 17)
+        with pytest.raises(ValidationError, match="graph of 177148 vertices exceeds"):
+            double_cover(-3, 3, 1, 11)
     g = build_graph(-3, 2, 1, 16)
     assert len(g.out) == sum(g.level_counts) == 2**16
     build_graph.cache_clear()
@@ -366,19 +370,38 @@ def test_grown_graph_equals_cold_build(dK, ell, f0):
 
 
 def test_grow_checks_that_conjugation_commutes_with_up(monkeypatch):
-    # swap the conjugates of a child of parent 0 and a child of parent 1:
-    # conjugation no longer maps siblings to siblings
+    # swap the conjugates of the first child of parent 0 and the first child
+    # of parent 1, indices 0 and c in blocks of c: conjugation no longer
+    # maps siblings to siblings
     real_mark_level = G._mark_level
 
     def swapped(g, m, conj_prev, level):
         conj = real_mark_level(g, m, conj_prev, level)
-        ell = g.ell
-        conj[0], conj[ell] = conj[ell], conj[0]
+        c = len(level) // len(conj_prev)
+        conj[0], conj[c] = conj[c], conj[0]
         return conj
 
     build_graph.cache_clear()
     build_graph(-4, 5, 1, 1)
+    assert build_graph(-3, 2, 5, 1).level_counts == (2, 6)  # h = 2, c = 2 + 1
     monkeypatch.setattr(G, "_mark_level", swapped)
-    with pytest.raises(AssertionError, match="does not commute with the up map"):
+    with pytest.raises(AssertionError, match="level 2: conjugation does not commute"):
         build_graph(-4, 5, 1, 2)
+    # a suborder's level 1 grows from its surface through the same check
     build_graph.cache_clear()
+    with pytest.raises(AssertionError, match="level 1: conjugation does not commute"):
+        build_graph(-3, 2, 5, 1)
+    build_graph.cache_clear()
+
+
+def test_double_covers_are_pinned():
+    # both covers at depth 1-8: vertices, edges and eids, duals,
+    # conjugation, and the order of out and edges
+    h = hashlib.sha256()
+    for dK, ell, f0 in G.COVER_PARAMS:
+        for depth in range(1, 9):
+            g = double_cover(dK, ell, f0, depth)
+            h.update(repr(((dK, ell, f0, depth, g.doubled), _structure(g))).encode())
+    assert h.hexdigest() == (
+        "e0d53db77ed39ee2386101156f484ceffdcaaaa0e471d17a965a49a26775105d"
+    )
