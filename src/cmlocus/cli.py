@@ -162,36 +162,25 @@ def _cmd_rcf(args) -> int:
     if args.op == "compose":
         if args.conductors is None:
             raise _UsageError("rcf compose needs --conductors")
-        parts = [m.strip() for m in args.conductors.split(",")]
-        if not all(m.isdecimal() for m in parts):
+        conductors = [m.strip() for m in args.conductors.split(",")]
+        if not all(m.isdecimal() for m in conductors):
             raise ValidationError(
                 f"cannot parse conductors {args.conductors!r} (use a comma list such as 2,3)"
             )
-        factors = [FieldSymbol("K", int(m), args.dk) for m in parts]
-        res = compose_rcf(factors)
-        payload = {
-            "closure": _field_json(res.closure),
-            "index": res.index,
-            "degree": res.degree(),
-        }
+        parts = [compose_rcf([FieldSymbol("K", int(m), args.dk) for m in conductors])]
     else:
         if args.left is None or args.right is None:
             raise _UsageError("rcf tensor needs --left and --right")
         left = _parse_symbol(args.left, args.dk)
         right = _parse_symbol(args.right, args.dk)
         parts = tensor_rcf(left, right, gcd(left.m, right.m))
-        payload = {
-            "factors": [
-                {
-                    "closure": _field_json(p.closure),
-                    "index": p.index,
-                    "degree": p.degree(),
-                }
-                for p in parts
-            ]
-        }
-    print(json.dumps(payload, indent=2))  # JSON for either --format
-    return 0
+    rows = [
+        {"closure": _field_json(p.closure), "index": p.index, "degree": p.degree()}
+        for p in parts
+    ]
+    payload = rows[0] if args.op == "compose" else {"factors": rows}
+    lines = [f"{_field_text(p.closure)} index={p.index} degree={p.degree()}" for p in parts]
+    return _emit(args, payload, lines)
 
 
 def _cmd_graph(args) -> int:

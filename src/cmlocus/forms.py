@@ -1,10 +1,11 @@
 """Binary quadratic forms: reduction, censuses, genus theory, Gaussian
 composition.
 
-The O(|delta|) reduced-form census backs only ``reduced_forms`` and
-``class_number``.  The 2-torsion order of the form class group, which is
-also the per-level count of conjugation-fixed vertices in the isogeny
-graph, comes from genus theory and needs only a factorization of delta.
+The reduced-form census, one sieve that factors every (b^2 - delta)/4,
+backs only ``reduced_forms`` and ``class_number``.  The 2-torsion order
+of the form class group, which is also the per-level count of
+conjugation-fixed vertices in the isogeny graph, comes from genus theory
+and needs only a factorization of delta.
 """
 
 from functools import lru_cache
@@ -21,32 +22,80 @@ from .arith import (
     kronecker,
 )
 
-DISC_CAP = 10**7  # census guard; O(|delta|) enumeration beyond this is refused
+DISC_CAP = 10**7  # census guard; a census beyond this is refused
 
 
 def reduced_forms(delta: int) -> list[tuple[int, int, int]]:
     """All reduced primitive forms (a, b, c) of discriminant ``delta``, sorted.
 
     Conventions: -a < b <= a <= c, b >= 0 when a == c, gcd(a, b, c) = 1.
-    The loop is b-major: a reduced form has 0 <= |b| <= a <= sqrt(|delta|/3),
-    and for each b >= 0 its a are the divisors of (b^2 - delta)/4 in
-    [max(b, 1), sqrt((b^2 - delta)/4)], which puts a <= c.
+    A reduced form has 0 <= |b| <= a <= sqrt(|delta|/3), and for each
+    b >= 0 its a are the divisors of m = (b^2 - delta)/4 in
+    [max(b, 1), sqrt(m)], which puts a <= c.  One sieve over b factors
+    every such m (``_census_divisors``), so a census takes about
+    O(sqrt(|delta|) log |delta|) steps and tries only the divisors of m.
     """
     _check_disc(delta)
     if -delta > DISC_CAP:
         raise ValidationError(f"|delta| exceeds census cap {DISC_CAP}")
-    n = -delta
+    p = delta % 2
     out = []
-    for b in range(delta % 2, isqrt(n // 3) + 1, 2):
-        m = (b * b + n) // 4
-        for a in [a for a in range(max(b, 1), isqrt(m) + 1) if m % a == 0]:
+    for t, (m, divisors) in enumerate(_census_divisors(delta)):
+        b = p + 2 * t
+        for a in divisors:
             c = m // a
-            if gcd(a, b, c) == 1:
+            if a >= b and gcd(a, b, c) == 1:
                 out.append((a, b, c))
                 if 0 < b < a < c:
                     out.append((a, -b, c))
     out.sort()
     return out
+
+
+def _census_divisors(delta: int) -> list[tuple[int, list[int]]]:
+    # (m, the divisors a of m with a^2 <= m) for m(t) = (b^2 - delta)/4 at
+    # every b = p + 2t <= sqrt(|delta|/3), p = delta mod 2.  m(t) is the
+    # quadratic t^2 + p*t + (p - delta)/4 of discriminant delta, so an odd
+    # prime q divides m(t) exactly when t = (-p +- s)/2 (mod q) for
+    # s^2 = delta (mod q).  One sieve pass per prime q <= sqrt(m(T)) finds
+    # every prime factor of each m(t) but at most one, and that one exceeds
+    # sqrt(m(t)), so it is a factor of no a <= sqrt(m(t)).
+    p = delta % 2
+    top = (isqrt(-delta // 3) - p) // 2
+    ms = [t * t + p * t + (p - delta) // 4 for t in range(top + 1)]
+    roots = [isqrt(m) for m in ms]
+    divs = [[1] for _ in ms]
+    for q in _primes_upto(roots[-1]):
+        if q == 2:
+            starts = [t for t in (0, 1) if t <= top and ms[t] % 2 == 0]
+        elif delta % q == 0:
+            starts = [-p * (q + 1) // 2 % q]
+        elif pow(delta % q, (q - 1) // 2, q) == 1:
+            s = _sqrt_mod(delta, q)
+            starts = [(-p + s) * (q + 1) // 2 % q, (-p - s) * (q + 1) // 2 % q]
+        else:
+            continue
+        for start in starts:
+            for t in range(start, top + 1, q):
+                m, layer = ms[t], divs[t]
+                _check_consistent(m % q == 0, "census sieve: q misses m(t) on its root class")
+                # multiply in q, q^2, ... while q^k | m; a divisor above
+                # sqrt(m) has only larger multiples, so it is dropped
+                last, qk = roots[t] // q, q
+                while layer and m % qk == 0:
+                    layer = [d * q for d in layer if d <= last]
+                    divs[t] += layer
+                    qk *= q
+    return list(zip(ms, divs))
+
+
+def _primes_upto(k: int) -> list[int]:
+    # the primes <= k (sieve of Eratosthenes)
+    sieve = bytearray(2) + bytearray([1]) * (k - 1)
+    for i in range(2, isqrt(k) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, k + 1, i)))
+    return [i for i in range(k + 1) if sieve[i]]
 
 
 @lru_cache(maxsize=256)

@@ -175,6 +175,13 @@ def test_rcf_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["closure"]["m"] == 6 and payload["index"] == 3
+    # JSON is the default format, byte for byte
+    want = json.dumps({
+        "closure": {"base": "K", "m": 6, "canonicalM": 6}, "index": 3, "degree": 2,
+    }, indent=2) + "\n"
+    for fmt in ((), ("--format", "json")):
+        argv = ("rcf", "compose", "--dk", "-3", "--conductors", "2,3", *fmt)
+        assert run(capsys, *argv) == (0, want, "")
     code, out, _ = run(
         capsys, "rcf", "tensor", "--dk", "-3", "--left", "K:6", "--right", "K:10"
     )
@@ -325,7 +332,7 @@ def test_check_sweep_stops_at_a_table_that_misses_psi(capsys, monkeypatch):
     )
 
 
-# table outputs of the level commands and of classgroup
+# table outputs of the level commands, classgroup and rcf
 TABLES = {
     ("fiber", "--disc", "-16", "--N", "4"): """\
 fiber of X0(1,4) over J_-16
@@ -345,6 +352,13 @@ h(-56) = 4, #Pic[2] = 2
   (3, -2, 5)
   (3, 2, 5)
 """,
+    # one line per closure: field, index and degree
+    ("rcf", "compose", "--dk", "-3", "--conductors", "2,3", "--format", "table"):
+        "K(6) index=3 degree=2\n",
+    ("rcf", "compose", "--dk", "-4", "--conductors", "2", "--format", "table"):
+        "K(2) [= K(1)] index=1 degree=2\n",
+    ("rcf", "tensor", "--dk", "-3", "--left", "K:6", "--right", "K:10", "--format", "table"):
+        "K(30) index=1 degree=36\nK(30) index=1 degree=36\n",
 }
 
 

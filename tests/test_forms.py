@@ -4,7 +4,9 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmlocus import forms
 from cmlocus.arith import ValidationError
+from cmlocus.fields import rcf_rel_degree
 from cmlocus.forms import (
     class_number,
     compose,
@@ -79,10 +81,39 @@ def _a_major_reduced_forms(delta):
     return out
 
 
+# discriminants that reach each branch of the census sieve's root classes:
+# a 2-power, a 3-power (q | delta), 3*5*7*11*13*17, delta = 5 (mod 8), so
+# 2 divides no (b^2 - delta)/4, and one of each family in oracle_sweep's band
+SIEVE_BRANCHES = [-4 * 512**2, -3 * 243**2, -4 * 255255, -999995, -3 * 361**2, -4 * 313**2]
+
+
 def test_reduced_forms_match_a_major_census():
     deltas = [d for d in range(-3, -5000, -1) if d % 4 in (0, 1)]
-    for delta in deltas + [-404100, -404103]:
+    for delta in deltas + [-404100, -404103] + SIEVE_BRANCHES:
         assert reduced_forms(delta) == _a_major_reduced_forms(delta), delta
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(3, 10**6).filter(lambda n: n % 4 in (0, 3)))
+def test_reduced_forms_match_a_major_census_anywhere(n):
+    assert reduced_forms(-n) == _a_major_reduced_forms(-n)
+
+
+def test_census_sieve_checks_its_root_classes(monkeypatch):
+    # a wrong square root puts the sieve on t where q does not divide
+    # (b^2 - delta)/4; the check raises under python -O too
+    monkeypatch.setattr(forms, "_sqrt_mod", lambda n, p: 0)
+    with pytest.raises(AssertionError, match="census sieve"):
+        reduced_forms(-4 * 313**2)
+
+
+def test_census_at_the_cap():
+    # two discriminants just under DISC_CAP = 10^7, against the conductor
+    # formula, in bounded time
+    t0 = time.perf_counter()
+    assert class_number(-3 * 1825**2) == rcf_rel_degree(-3, 1825) == 720
+    assert class_number(-4 * 1581**2) == rcf_rel_degree(-4, 1581) == 1024
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_reduction_idempotent_and_canonical():
