@@ -29,8 +29,7 @@ _HOME = {
     ),
     **dict.fromkeys(
         ("ClosedPointClass", "FiberReport", "fiber_X0MN",
-         "lift_residue_prime_power", "primitive_prime_power", "primitive_X0MN",
-         "x1_fiber", "x_nn_residue"),
+         "lift_residue_prime_power", "primitive_X0MN", "x1_fiber"),
         "locus",
     ),
 }

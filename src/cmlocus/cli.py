@@ -8,7 +8,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from math import gcd
 
 from . import __version__
 from ._kernel import BACKEND
@@ -173,7 +172,7 @@ def _cmd_rcf(args) -> int:
             raise _UsageError("rcf tensor needs --left and --right")
         left = _parse_symbol(args.left, args.dk)
         right = _parse_symbol(args.right, args.dk)
-        parts = tensor_rcf(left, right, gcd(left.m, right.m))
+        parts = tensor_rcf(left, right)
     rows = [
         {"closure": _field_json(p.closure), "index": p.index, "degree": p.degree()}
         for p in parts

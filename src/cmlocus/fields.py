@@ -205,8 +205,8 @@ def compose_rcf(factors) -> CompositumResult:
     return CompositumResult(K(big, delta_K), total // comp_degree)
 
 
-def tensor_rcf(f1: FieldSymbol, f2: FieldSymbol, base_m: int) -> list[CompositumResult]:
-    """Decompose F1 (x)_{Q(base_m)} F2 into field factors.
+def tensor_rcf(f1: FieldSymbol, f2: FieldSymbol) -> list[CompositumResult]:
+    """Decompose F1 (x)_{Q(g)} F2 into field factors, g = gcd(m1, m2).
 
     Returns one entry per factor; entries carry an index > 1 only in the
     coprime case where the factor is a proper subfield of its ring-class
@@ -215,8 +215,6 @@ def tensor_rcf(f1: FieldSymbol, f2: FieldSymbol, base_m: int) -> list[Compositum
     if f1.delta_K != f2.delta_K:
         raise ValidationError("mixed fundamental discriminants")
     delta_K = f1.delta_K
-    if base_m != gcd(f1.m, f2.m):
-        raise ValidationError("base conductor must be gcd of the factor conductors")
     big = lcm(f1.m, f2.m)
     s = int(f1.contains_K) + int(f2.contains_K)
     base = RING_CLASS if s >= 1 else RATIONAL
@@ -225,7 +223,7 @@ def tensor_rcf(f1: FieldSymbol, f2: FieldSymbol, base_m: int) -> list[Compositum
         # a factor in S is absorbed; the other one survives
         keep = f2 if in_S(f1.m, delta_K) else f1
         return [CompositumResult(FieldSymbol(base, keep.m, delta_K), 1)] * copies
-    if base_m > 1:
+    if gcd(f1.m, f2.m) > 1:
         return [CompositumResult(FieldSymbol(base, big, delta_K), 1)] * copies
     # pairwise coprime conductors outside S: proper compositum factors
     w2 = unit_count(delta_K) // 2

@@ -227,10 +227,13 @@ def _sqrt_mod(n: int, p: int) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
+    t, r = pow(n, q, p), pow(n, (q + 1) // 2, p)
+    if t == 1:
+        return r
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    c = pow(z, q, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:

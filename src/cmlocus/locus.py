@@ -18,7 +18,6 @@ from .arith import (
     _check_consistent,
     _check_int,
     _check_power,
-    _check_prime,
     _factor_pairs,
     euler_phi,
     kronecker,
@@ -57,16 +56,6 @@ class FiberReport(namedtuple("FiberReport", "M N order classes check_total")):
 
 def _class_key(c: ClosedPointClass):
     return (c.field.base, c.field.m, c.path_type or (0, 0, 0))
-
-
-def x_nn_residue(order: OrderDisc, N: int) -> FieldSymbol:
-    """Residue field of the CM point on X0(N,N)."""
-    if N <= 1:
-        raise ValidationError("X0(N,N) residue fields need N >= 2")
-    dK, f = order.delta_K, order.f
-    if N >= 3 or order.delta % 2:
-        return K(N * f, dK)
-    return Q(2 * f, dK)
 
 
 def lift_residue_prime_power(order: OrderDisc, ell: int, a_prime: int, a: int):
@@ -247,25 +236,10 @@ def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
 # -- primitive residue fields ------------------------------------------------
 
 
-def enumerated_primitive_prime_power(order: OrderDisc, ell: int, a_prime: int, a: int):
-    """Minimal residue fields of the X0(ell^a', ell^a) fiber obtained by
-    lifting every downstairs class; the independent route against the
-    published casework in :func:`primitive_prime_power`."""
-    return minimal_fields([up for _, up, _ in lift_residue_prime_power(order, ell, a_prime, a)])
-
-
-def primitive_prime_power(order: OrderDisc, ell: int, a_prime: int, a: int):
-    """Primitive residue fields of CM points on X0(ell^a', ell^a)."""
-    _check_int(a_prime)
-    _check_power(ell, a)
-    if not 0 <= a_prime <= a or ell**a < 2:
-        raise ValidationError("need 0 <= a' <= a and ell^a >= 2")
-    _check_prime(ell)
-    b, c, _ = _primitive_row(order, ell, a_prime, a)
-    f, dK = order.f, order.delta_K
-    return ([Q(ell**b * f, dK)] if b is not None else []) + (
-        [K(ell**c * f, dK)] if c is not None else []
-    )
+def enumerated_primitive(order: OrderDisc, M: int, N: int):
+    """Minimal residue fields of the enumerated X0(M,N) fiber; the
+    independent route against the casework in :func:`primitive_X0MN`."""
+    return minimal_fields([c.field for c in fiber_X0MN(order, M, N).classes])
 
 
 @lru_cache(maxsize=2048, typed=True)
@@ -273,8 +247,8 @@ def _primitive_row(order: OrderDisc, ell: int, a_prime: int, a: int):
     """One prime's primitive casework as integers (b, c, split_deep): the
     primitive fields on X0(ell^a', ell^a) are Q(ell^b f) and K(ell^c f), each
     only where its exponent is not None, and split_deep is
-    ``_split_deep_level``.  The unchecked core of primitive_prime_power:
-    ell^a is a prime power of a level that passed factorize."""
+    ``_split_deep_level``.  The unchecked core of primitive_X0MN, which
+    takes ell^a from a level that passed factorize."""
     # no field is built here, so a refused delta_K must raise before caching
     check_delta_K(order.delta_K)
     if a_prime == 0:

@@ -52,6 +52,7 @@ from .arith import (
     factorize,
     kronecker,
     psi,
+    valuation,
 )
 
 # the oracle walks psi(N) M phi(M) pairs (C, [P, Q]) and a table of the N^2
@@ -179,10 +180,8 @@ class _Level:
         """Generators of {alpha in (O/NO)^* : alpha = 1 mod mO}."""
         gens = []
         for ell, a in self.fac.items():
-            q, k = ell**a, 0
-            while m % ell ** (k + 1) == 0:
-                k += 1
-            for g in _local_gens(self.t % q, self.n % q, ell, a, k):
+            q = ell**a
+            for g in _local_gens(self.t % q, self.n % q, ell, a, valuation(m, ell)):
                 gens.append(_crt_lift(g, q, self.N))
         return gens
 

@@ -49,11 +49,13 @@ class _Tower:
             return 1
         if not fertile:
             return 0
-        co_fertile = self.rtor(m + 2) == 2 * self.rtor(m + 1)
-        return self.chains(m + 1, True, d - 1) + self.chains(m + 1, co_fertile, d - 1)
+        return self.chains(m + 1, True, d - 1) + self.chains(m + 1, self.fertile(m), d - 1)
 
-    def level1_sibling_fertile(self) -> bool:
-        return self.rtor(2) == 2 * self.rtor(1)
+    def fertile(self, m: int) -> bool:
+        """Whether the second real child at level m + 1 of a real vertex at
+        level m has real children of its own: the 2-rank doubles from level
+        m + 1 to m + 2."""
+        return self.rtor(m + 2) == 2 * self.rtor(m + 1)
 
 
 def type_counts(delta_K, ell, f0, L, a):
@@ -81,8 +83,7 @@ def type_counts(delta_K, ell, f0, L, a):
             real = 0  # the single real child is the marked one we came from
         else:
             m = L - b
-            sib_fertile = t.rtor(m + 2) == 2 * t.rtor(m + 1)
-            real = t.chains(m + 1, sib_fertile, d - 1)
+            real = t.chains(m + 1, t.fertile(m), d - 1)
         out[(b, 0, d)] = (total, real)
 
     if L > a:
@@ -135,13 +136,13 @@ def _real_exits(t: _Tower, h: int, excl: int):
     if h == 0:
         if k0 % 2 == 1:
             return [(1 - excl, True)]
-        return [(1 - excl, True), (1, t.level1_sibling_fertile())]
+        return [(1 - excl, True), (1, t.fertile(0))]
     # h == 1 over a ramified suborder surface: we stand at the prime
     # translate of the marked vertex
     if k0 % 2 == 1:
         return [(1, True)]
     if t.rtor(1) // 2 >= 2:
-        return [(1, True), (1, t.level1_sibling_fertile())]
+        return [(1, True), (1, t.fertile(0))]
     return []
 
 

@@ -102,7 +102,7 @@ def path_classes(order: OrderDisc, ell: int, a: int) -> tuple[PathClass, ...]:
                 mh = ell ** max(a - 2 * L - h, 0) * f
                 add("XI", L, h, a - L - h, K(mh, dK), (ell - 1) * ell ** (min(L, a - L - h) - 1))
     else:
-        out.extend(_ell2_classes(dK, f, L, a, sym))
+        _ell2_classes(dK, f, L, a, sym, add)
 
     total = sum(class_e(order, c) * class_d(order, c) * c.count for c in out)
     if total != psi(ell**a):
@@ -113,13 +113,7 @@ def path_classes(order: OrderDisc, ell: int, a: int) -> tuple[PathClass, ...]:
     return tuple(out)
 
 
-def _ell2_classes(dK: int, f: int, L: int, a: int, sym: int) -> list[PathClass]:
-    out: list[PathClass] = []
-
-    def add(tag, b, h, d, field, count):
-        if count > 0:
-            out.append(PathClass((b, h, d), field, count, tag))
-
+def _ell2_classes(dK: int, f: int, L: int, a: int, sym: int, add) -> None:
     if sym == -1:
         # delta_K = -3: 2 is inert
         if L >= 2 and a >= 2:
@@ -134,7 +128,7 @@ def _ell2_classes(dK: int, f: int, L: int, a: int, sym: int) -> list[PathClass]:
             add("V4", b, 0, a - b, K(2 ** max(a - 2 * b, 0) * f, dK), 2 ** (min(b, a - b) - 2))
         if a > L >= 1:
             add("VI", L, 0, a - L, K(2 ** max(a - 2 * L, 0) * f, dK), 2 ** (min(L, a - L) - 1))
-        return out
+        return
 
     # delta_K = -4: 2 is ramified
     if L >= 2 and a >= 2:
@@ -158,7 +152,6 @@ def _ell2_classes(dK: int, f: int, L: int, a: int, sym: int) -> list[PathClass]:
         else:
             m = 2 ** max(a - 2 * L - 1, 0) * f
             add("VIII2", L, 1, a - L - 1, K(m, dK), 2 ** (min(L, a - 1 - L) - 1))
-    return out
 
 
 def class_e(order: OrderDisc, cls: PathClass) -> int:

@@ -18,9 +18,8 @@ from cmlocus.forms import class_number, two_torsion_count
 from cmlocus.graph import conjugation_graph, enumerate_paths
 from cmlocus.locus import (
     elliptic_compatible,
-    enumerated_primitive_prime_power,
+    enumerated_primitive,
     fiber_X0MN,
-    primitive_prime_power,
     primitive_X0MN,
     x1_fiber,
 )
@@ -138,8 +137,8 @@ def test_criterion_7_casework_cross_validation():
                 a = 1
                 while ell**a <= 200:
                     for ap in range(0, a + 1):
-                        cw = primitive_prime_power(order, ell, ap, a)
-                        en = enumerated_primitive_prime_power(order, ell, ap, a)
+                        cw, _ = primitive_X0MN(order, ell**ap, ell**a)
+                        en = enumerated_primitive(order, ell**ap, ell**a)
                         match = len(cw) == len(en) and all(
                             any(is_isomorphic(x, y) for y in en) for x in cw
                         )
@@ -246,9 +245,7 @@ def test_criterion_10_primitive_degree_dichotomy():
                     all_split_deep = True
                     any_two = False
                     for ell, a in factorize(N).items():
-                        local = primitive_prime_power(
-                            order, ell, valuation(M, ell), a
-                        )
+                        local, _ = primitive_X0MN(order, ell ** valuation(M, ell), ell**a)
                         if len(local) == 2:
                             any_two = True
                             L = order.ell_valuation(ell)

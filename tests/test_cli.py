@@ -415,10 +415,9 @@ PUBLIC_NAMES = [
     "arith", "build_graph", "class_number", "compose_rcf", "conjugation_graph",
     "double_cover", "enumerate_paths", "euler_phi", "fiber_X0MN", "field_degree",
     "fields", "forms", "geometric_points", "graph", "in_S", "kronecker",
-    "lift_residue_prime_power", "locus", "primitive_X0MN",
-    "primitive_prime_power", "psi", "rcf_rel_degree", "reduced_forms",
-    "split_discriminant", "tables", "tensor_rcf", "to_dot",
-    "two_torsion_count", "x1_fiber", "x_nn_residue",
+    "lift_residue_prime_power", "locus", "primitive_X0MN", "psi",
+    "rcf_rel_degree", "reduced_forms", "split_discriminant", "tables",
+    "tensor_rcf", "to_dot", "two_torsion_count", "x1_fiber",
 ]
 
 

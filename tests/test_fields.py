@@ -144,12 +144,12 @@ def test_compose_rejects():
 
 
 def test_tensor_examples():
-    parts = tensor_rcf(K(2, -4), K(3, -4), 1)
+    parts = tensor_rcf(K(2, -4), K(3, -4))
     assert [str(p.closure) for p in parts] == ["K(3)", "K(3)"]
     assert all(p.index == 1 for p in parts)
-    parts = tensor_rcf(Q(6, -3), Q(10, -3), 2)
+    parts = tensor_rcf(Q(6, -3), Q(10, -3))
     assert [str(p.closure) for p in parts] == ["Q(30)"] and parts[0].index == 1
-    parts = tensor_rcf(K(6, -3), K(10, -3), 2)
+    parts = tensor_rcf(K(6, -3), K(10, -3))
     assert [str(p.closure) for p in parts] == ["K(30)", "K(30)"]
 
 
@@ -162,15 +162,10 @@ def test_tensor_degree_sum():
                     for b2 in "QK":
                         F1 = FieldSymbol(b1, f1, dK)
                         F2 = FieldSymbol(b2, f2, dK)
-                        parts = tensor_rcf(F1, F2, m)
+                        parts = tensor_rcf(F1, F2)
                         total = sum(p.degree() for p in parts)
                         base = field_degree(Q(m, dK))
                         assert total * base == field_degree(F1) * field_degree(F2)
-
-
-def test_tensor_base_must_be_gcd():
-    with pytest.raises(ValidationError):
-        tensor_rcf(Q(6, -3), Q(10, -3), 5)
 
 
 @pytest.mark.parametrize("dK", [-7, -8, -12, -16, 0, 1])

@@ -107,6 +107,17 @@ def test_census_sieve_checks_its_root_classes(monkeypatch):
         reduced_forms(-4 * 313**2)
 
 
+def test_sqrt_mod_squares_back():
+    # every square n mod every odd prime p < 500: those with n^q = 1 for
+    # p - 1 = 2^s q (every n when p = 3 mod 4) take the early return, the
+    # others the Tonelli-Shanks loop
+    for p in range(3, 500, 2):
+        if any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
+            continue
+        for n in {x * x % p for x in range(p)}:
+            assert forms._sqrt_mod(n, p) ** 2 % p == n, (n, p)
+
+
 def test_census_at_the_cap():
     # two discriminants just under DISC_CAP = 10^7, against the conductor
     # formula, in bounded time

@@ -252,18 +252,19 @@ def test_build_rejects_bad_parameters():
 
 
 def test_x0nn_consistency():
-    # on X0(N,N) every class carries the scalar-structure field
+    # on X0(N,N) every class carries the scalar-structure field: K(Nf), or
+    # Q(2f) at N = 2 over an even delta
     from cmlocus.arith import OrderDisc
-    from cmlocus.fields import is_isomorphic
-    from cmlocus.locus import fiber_X0MN, x_nn_residue
+    from cmlocus.fields import K, Q
+    from cmlocus.locus import fiber_X0MN
 
     for dK in (-3, -4):
         for f in (1, 2):
             order = OrderDisc.from_parts(dK, f)
             for N in (2, 3, 4, 6, 9, 10):
-                want = x_nn_residue(order, N)
+                want = K(N * f, dK) if N >= 3 or order.delta % 2 else Q(2 * f, dK)
                 for c in fiber_X0MN(order, N, N).classes:
-                    assert is_isomorphic(c.field, want)
+                    assert c.field == want
 
 
 def test_backtracking_rule_loop_then_descend():

@@ -24,7 +24,6 @@ from cmlocus import (
     in_S,
     kronecker,
     lift_residue_prime_power,
-    primitive_prime_power,
     primitive_X0MN,
     psi,
     rcf_rel_degree,
@@ -33,7 +32,6 @@ from cmlocus import (
     tensor_rcf,
     two_torsion_count,
     x1_fiber,
-    x_nn_residue,
 )
 from cmlocus.arith import FACTOR_LIMIT, ValidationError, factorize
 from cmlocus.fields import canonical_conductor
@@ -60,7 +58,7 @@ CASES = {
     "rcf_rel_degree": (rcf_rel_degree, (-4, 15)),
     "canonical_conductor": (canonical_conductor, (-4, 6)),
     "compose_rcf": (lambda m1, m2: compose_rcf([K(m1, -3), K(m2, -3)]), (2, 3)),
-    "tensor_rcf": (lambda base: tensor_rcf(K(6, -3), K(10, -3), base), (2,)),
+    "tensor_rcf": (lambda m1, m2: tensor_rcf(K(m1, -3), K(m2, -3)), (6, 10)),
     "class_number": (class_number, (-84,)),
     "reduced_forms": (reduced_forms, (-84,)),
     "two_torsion_count": (two_torsion_count, (-84,)),
@@ -69,8 +67,8 @@ CASES = {
     "conjugation_graph": (conjugation_graph, (-3, 3, 1, 2)),
     "enumerate_paths": (lambda s, a: enumerate_paths(build_graph(-4, 5, 1, 3), s, a), (0, 2)),
     "fiber_X0MN_prime_power": (lambda f, N: fiber_X0MN(_order(-4, f), 1, N), (3, 25)),
-    "primitive_prime_power": (
-        lambda f, ell, ap, a: primitive_prime_power(_order(-4, f), ell, ap, a), (3, 5, 1, 2)
+    "primitive_X0MN_prime_power": (
+        lambda f, M, N: primitive_X0MN(_order(-4, f), M, N), (3, 5, 25)
     ),
     "lift_residue_prime_power": (
         lambda f, ell, ap, a: lift_residue_prime_power(_order(-4, f), ell, ap, a), (3, 2, 1, 2)
@@ -78,7 +76,6 @@ CASES = {
     "fiber_X0MN": (lambda dK, f, M, N: fiber_X0MN(_order(dK, f), M, N), (-4, 3, 2, 10)),
     "primitive_X0MN": (lambda dK, f, M, N: primitive_X0MN(_order(dK, f), M, N), (-3, 2, 3, 45)),
     "x1_fiber": (lambda dK, f, M, N: x1_fiber(_order(dK, f), M, N), (-4, 1, 1, 10)),
-    "x_nn_residue": (lambda dK, f, N: x_nn_residue(_order(dK, f), N), (-4, 3, 6)),
     # the public names of forms and pathstats that the package does not export
     "reduce_form": (lambda a, b, c: forms.reduce_form((a, b, c)), (5, 2, 2)),
     "principal_form": (forms.principal_form, (-84,)),
@@ -171,8 +168,6 @@ def test_the_reported_holes_are_closed():
         fiber_X0MN(_order(-4, 1), 1, 10.0)
     with pytest.raises(ValidationError):
         fiber_X0MN(_order(-4, 1), True, 10)
-    with pytest.raises(ValidationError):
-        primitive_prime_power(_order(-4, 1), 2, 1, 10**30)  # refused before 2^(10^30)
 
 
 def test_the_reported_forms_and_pathstats_holes_are_closed():

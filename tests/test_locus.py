@@ -12,9 +12,7 @@ from cmlocus.locus import (
     fiber_X0MN,
     lift_residue_prime_power,
     primitive_X0MN,
-    primitive_prime_power,
     x1_fiber,
-    x_nn_residue,
     _prime_rows,
     _primitive_row,
     _split_deep_level,
@@ -25,14 +23,27 @@ O4 = OrderDisc.from_parts(-4, 1)
 O3 = OrderDisc.from_parts(-3, 1)
 
 
+def _x_nn_fields(order, N):
+    # the fields of the fiber of X0(N,N)
+    return {c.field for c in fiber_X0MN(order, N, N).classes}
+
+
 def test_x_nn_residue():
-    assert is_isomorphic(x_nn_residue(O4, 2), Q(1, -4))  # Q(P) = Q
-    assert is_isomorphic(x_nn_residue(O3, 2), K(1, -3))  # Q(P) = K
-    assert str(x_nn_residue(O4, 3)) == "K(3)"
-    assert str(x_nn_residue(OrderDisc.from_parts(-3, 5), 2)) == "K(10)"  # odd
-    assert str(x_nn_residue(OrderDisc.from_parts(-4, 3), 2)) == "Q(6)"  # even
-    with pytest.raises(ValidationError):
-        x_nn_residue(O4, 1)
+    # X0(N,N) carries the full level-N structure: every point has field
+    # K(Nf), except at N = 2 over an even delta, where it is Q(2f)
+    assert _x_nn_fields(O4, 2) == {Q(2, -4)}
+    assert is_isomorphic(Q(2, -4), Q(1, -4))  # Q(P) = Q
+    assert _x_nn_fields(O3, 2) == {K(2, -3)}
+    assert is_isomorphic(K(2, -3), K(1, -3))  # Q(P) = K
+    assert _x_nn_fields(O4, 3) == {K(3, -4)}
+    assert _x_nn_fields(OrderDisc.from_parts(-3, 5), 2) == {K(10, -3)}  # odd
+    assert _x_nn_fields(OrderDisc.from_parts(-4, 3), 2) == {Q(6, -4)}  # even
+    for dK in (-3, -4):
+        for f in range(1, 13):
+            order = OrderDisc.from_parts(dK, f)
+            for N in range(2, 80):
+                want = K(N * f, dK) if N >= 3 or order.delta % 2 else Q(2 * f, dK)
+                assert _x_nn_fields(order, N) == {want}, (order, N)
 
 
 def _lifted(order, ell, a_prime, a):
@@ -233,9 +244,6 @@ def test_data_validation():
             lift_residue_prime_power(O4, ell, a_prime, a)
     with pytest.raises(ValidationError):
         fiber_X0MN(O4, 3, 4)
-    for ell, a_prime, a in ((4, 0, 2), (6, 1, 1)):  # composite ell
-        with pytest.raises(ValidationError):
-            primitive_prime_power(O4, ell, a_prime, a)
 
 
 def _prime_powers(n):
@@ -292,8 +300,9 @@ def _row_fields(order, ell, row):
 
 
 def test_primitive_row_matches_the_casework():
-    # the cached integers are the casework: primitive_prime_power lists
-    # exactly the fields the row's exponents name, and every row names one
+    # the cached integers are the casework: primitive_X0MN lists exactly
+    # the fields the row's exponents name at a prime power, and every row
+    # names one
     for dK in (-3, -4):
         for f in range(1, 13):
             order = OrderDisc.from_parts(dK, f)
@@ -302,15 +311,14 @@ def test_primitive_row_matches_the_casework():
                     for a_prime in range(a + 1):
                         row = _primitive_row(order, ell, a_prime, a)
                         assert row[:2] != (None, None)
-                        assert primitive_prime_power(order, ell, a_prime, a) == _row_fields(
-                            order, ell, row
-                        )
+                        fields, _ = primitive_X0MN(order, ell**a_prime, ell**a)
+                        assert fields == _row_fields(order, ell, row)
                         assert row[2] == _split_deep_level(order, ell, a)
 
 
 def test_primitive_casework_grid_is_pinned():
-    # SHA-256 of the published casework over a grid that reaches L = 6 at
-    # ell = 2 and every branch of the exponent table
+    # SHA-256 of the published casework at the prime powers of a grid that
+    # reaches L = 6 at ell = 2 and every branch of the exponent table
     h = hashlib.sha256()
     for dK in (-3, -4):
         for f in range(1, 65):
@@ -318,7 +326,8 @@ def test_primitive_casework_grid_is_pinned():
             for ell in (2, 3, 5, 7, 11, 13):
                 for a in range(1, 16):
                     for a_prime in range(a + 1):
-                        h.update(repr(primitive_prime_power(order, ell, a_prime, a)).encode())
+                        fields, _ = primitive_X0MN(order, ell**a_prime, ell**a)
+                        h.update(repr(fields).encode())
     assert h.hexdigest() == "f1754cfea635c1fdbaa17c2c17d3c7f1766296ab14f6223de5a90adea6a37eda"
 
 
@@ -330,7 +339,7 @@ def test_refused_delta_K_is_not_cached():
     with pytest.raises(ValidationError):
         primitive_X0MN(order, 1, 12)
     with pytest.raises(ValidationError):
-        primitive_prime_power(order, 2, 0, 2)
+        primitive_X0MN(order, 2, 4)
     assert _primitive_row.cache_info().currsize == 0
 
 
