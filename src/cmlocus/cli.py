@@ -7,7 +7,6 @@ consistency failure.
 import argparse
 import json
 import sys
-from collections import Counter
 
 from . import __version__
 from ._kernel import BACKEND
@@ -203,9 +202,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .forms import two_torsion_count
     from .pathstats import orbit_counts, type_counts
-    from .tables import class_d, class_e, path_classes
+    from .tables import path_classes, real_points, type_weights
 
     if not args.sweep:
         raise ValidationError("nothing to check; pass --sweep")
@@ -226,33 +224,20 @@ def _cmd_check(args) -> int:
                 for L in (0, 1):
                     for a in range(1, 5):
                         order = OrderDisc.from_parts(dk, ell**L * f0)
-                        table = Counter()
-                        for c in path_classes(order, ell, a):
-                            table[c.bhd] += (
-                                class_e(order, c) * class_d(order, c) * c.count
-                            )
                         walker = {
                             t: v[0] for t, v in type_counts(dk, ell, f0, L, a).items()
                         }
-                        if dict(table) != walker:
+                        if type_weights(order, ell, a) != walker:
                             mism += 1
     print(f"oracle equivalence sweep: {'ok' if mism == 0 else f'{mism} failures'}")
     orbit_bad = 0
     for dk in (-3, -4):
+        order = OrderDisc.from_parts(dk, 1)
         for ell in (2, 3, 5, 7, 13):
             for a in range(1, 6):
-                order = OrderDisc.from_parts(dk, 1)
-                q = Counter()
-                mT = {}
-                for c in path_classes(order, ell, a):
-                    if not c.field.contains_K:
-                        q[c.bhd] += c.count
-                    mT[c.bhd] = c.field.m
+                want = real_points(order, ell, a)
                 for t, (_tot, real) in orbit_counts(dk, ell, a).items():
-                    want = (
-                        q[t] * two_torsion_count(mT[t] ** 2 * dk) if q[t] else 0
-                    )
-                    if real != want:
+                    if real != want[t]:
                         orbit_bad += 1
     print(f"real-orbit identity sweep: {'ok' if orbit_bad == 0 else f'{orbit_bad} failures'}")
     if mism or orbit_bad:

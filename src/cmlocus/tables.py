@@ -13,7 +13,7 @@ graph structure; these tables stay the source of truth for the Galois
 grouping into closed points.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .arith import (
@@ -104,7 +104,7 @@ def path_classes(order: OrderDisc, ell: int, a: int) -> tuple[PathClass, ...]:
     else:
         _ell2_classes(dK, f, L, a, sym, add)
 
-    total = sum(class_e(order, c) * class_d(order, c) * c.count for c in out)
+    total = sum(_weight(order, c) for c in out)
     if total != psi(ell**a):
         raise AssertionError(
             f"table inconsistency at (dK={dK}, f={f}, l={ell}, a={a}): "
@@ -170,3 +170,29 @@ def class_d(order: OrderDisc, cls: PathClass) -> int:
     den = rcf_rel_degree(order.delta_K, order.f)
     _check_consistent(num % den == 0, "residual degree is not an integer")
     return num // den
+
+
+def _weight(order: OrderDisc, cls: PathClass) -> int:
+    return class_e(order, cls) * class_d(order, cls) * cls.count
+
+
+def type_weights(order: OrderDisc, ell: int, a: int) -> Counter:
+    """Sum of e * d * count over the classes of each path shape (b, h, d):
+    the per-shape path totals the walker in ``pathstats`` rederives."""
+    out = Counter()
+    for c in path_classes(order, ell, a):
+        out[c.bhd] += _weight(order, c)
+    return out
+
+
+def real_points(order: OrderDisc, ell: int, a: int) -> Counter:
+    """Real geometric points of each path shape (b, h, d): every rational
+    class times the real conjugates of its j-invariant, #Pic[2] of
+    m^2 delta_K for the class's conductor m."""
+    from .forms import two_torsion_count
+
+    out = Counter()
+    for c in path_classes(order, ell, a):
+        if not c.field.contains_K:
+            out[c.bhd] += c.count * two_torsion_count(c.field.m**2 * order.delta_K)
+    return out

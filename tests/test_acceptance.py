@@ -2,8 +2,6 @@
 throughout, with a printed verdict line for each criterion.
 """
 
-from collections import Counter
-
 from cmlocus.arith import OrderDisc, ValidationError, euler_phi, psi
 from cmlocus.fields import (
     K,
@@ -14,8 +12,7 @@ from cmlocus.fields import (
     rcf_rel_degree,
     unit_count,
 )
-from cmlocus.forms import class_number, two_torsion_count
-from cmlocus.graph import conjugation_graph, enumerate_paths
+from cmlocus.forms import class_number
 from cmlocus.locus import (
     elliptic_compatible,
     enumerated_primitive,
@@ -24,7 +21,9 @@ from cmlocus.locus import (
     x1_fiber,
 )
 from cmlocus.pathstats import orbit_counts, type_counts
-from cmlocus.tables import class_d, class_e, path_classes
+from cmlocus.tables import real_points, type_weights
+
+from test_pathstats import explicit_counts
 
 PRIMES_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
 
@@ -64,11 +63,7 @@ def test_criterion_3_psi_sum_sweep():
             order = OrderDisc.from_parts(dK, f)
             for ell in (2, 3, 5, 7, 13):
                 for a in range(1, 6):
-                    classes = path_classes(order, ell, a)
-                    total = sum(
-                        class_e(order, c) * class_d(order, c) * c.count
-                        for c in classes
-                    )
+                    total = sum(type_weights(order, ell, a).values())
                     ok = ok and total == psi(ell**a)
                     checked += 1
     verdict(3, ok and checked >= 300, f"psi-sum exact on {checked} prime-power fibers")
@@ -160,13 +155,9 @@ def test_criterion_8_oracle_equivalence():
                 for L in range(0, 6):
                     for a in range(1, 7 - L):
                         order = OrderDisc.from_parts(dK, ell**L * f0)
-                        table = Counter()
-                        for c in path_classes(order, ell, a):
-                            table[c.bhd] += (
-                                class_e(order, c) * class_d(order, c) * c.count
-                            )
+                        table = type_weights(order, ell, a)
                         walker = type_counts(dK, ell, f0, L, a)
-                        ok = ok and {t: v[0] for t, v in walker.items()} == dict(table)
+                        ok = ok and {t: v[0] for t, v in walker.items()} == table
     # explicit brute force agrees with the walker (paths and real paths)
     for dK in (-3, -4):
         for f0 in (1, 2, 3):
@@ -175,28 +166,15 @@ def test_criterion_8_oracle_equivalence():
                     continue
                 for L in (0, 1):
                     for a in range(1, 5 - L):
-                        g = conjugation_graph(dK, ell, f0, L + a)
-                        tot, real = Counter(), Counter()
-                        for p in enumerate_paths(g, L, a):
-                            tot[p.bhd] += 1
-                            if g.path_real(p):
-                                real[p.bhd] += 1
-                        exp = {t: (tot[t], real[t]) for t in tot}
+                        exp = explicit_counts(dK, ell, f0, L, a)
                         ok = ok and exp == type_counts(dK, ell, f0, L, a)
     # real geometric points per type = rational classes x real conjugates
     for dK in (-3, -4):
         for ell in (2, 3, 5, 7, 13):
             for a in range(1, 7):
-                order = OrderDisc.from_parts(dK, 1)
-                q = Counter()
-                m = {}
-                for c in path_classes(order, ell, a):
-                    if not c.field.contains_K:
-                        q[c.bhd] += c.count
-                    m[c.bhd] = c.field.m
+                want = real_points(OrderDisc.from_parts(dK, 1), ell, a)
                 for t, (_tot, real) in orbit_counts(dK, ell, a).items():
-                    want = q[t] * two_torsion_count(m[t] ** 2 * dK) if q[t] else 0
-                    ok = ok and real == want
+                    ok = ok and real == want[t]
     verdict(8, ok, "graph oracle reproduces table totals and real counts")
 
 

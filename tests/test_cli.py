@@ -286,9 +286,12 @@ def test_graph_cli_and_dot(capsys):
 
 
 def test_check_sweep(capsys):
-    code, out, _ = run(capsys, "check", "--sweep")
-    assert code == 0
-    assert "psi-sum sweep: ok" in out
+    assert run(capsys, "check", "--sweep") == (
+        0,
+        "psi-sum sweep: ok\noracle equivalence sweep: ok\n"
+        "real-orbit identity sweep: ok\n",
+        "",
+    )
 
 
 def test_check_sweep_reports_a_walker_mismatch(capsys, monkeypatch):

@@ -285,14 +285,6 @@ def test_backtracking_after_ascend():
     assert [(p.start_level, p.edges) for p in enumerate_paths(g, 1, 0)] == [(1, ())]
 
 
-def test_path_limit_is_read_at_call_time(monkeypatch):
-    g = build_graph(-4, 5, 1, 3)
-    assert len(enumerate_paths(g, 0, 2)) == 30
-    monkeypatch.setattr(G, "PATH_LIMIT", 5)
-    with pytest.raises(ValidationError, match="path enumeration limit"):
-        enumerate_paths(g, 0, 2)
-
-
 def _structure(g):
     return (
         g.level_counts,
@@ -305,12 +297,9 @@ def _structure(g):
     )
 
 
-def test_graph_structure_is_pinned():
+def _small_graphs():
     # every conjugation graph of at most 2,000 vertices over ell in
-    # {2, 3, 5, 7, 13}, f0 <= 5 and depth <= 4: vertices, edges and eids,
-    # duals, conjugation, and the order of out and edges
-    h = hashlib.sha256()
-    built = 0
+    # {2, 3, 5, 7, 13}, f0 <= 5 and depth <= 4
     for dK in (-3, -4):
         for ell in (2, 3, 5, 7, 13):
             for f0 in range(1, 6):
@@ -318,15 +307,36 @@ def test_graph_structure_is_pinned():
                     continue
                 for depth in range(1, 5):
                     size = sum(rcf_rel_degree(dK, ell**m * f0) for m in range(depth + 1))
-                    if size > 2000:
-                        continue
-                    g = conjugation_graph(dK, ell, f0, depth)
-                    h.update(repr(((dK, ell, f0, depth), _structure(g))).encode())
-                    built += 1
+                    if size <= 2000:
+                        yield (dK, ell, f0, depth), conjugation_graph(dK, ell, f0, depth)
+
+
+def test_graph_structure_is_pinned():
+    # vertices, edges and eids, duals, conjugation, and the order of out
+    # and edges
+    h = hashlib.sha256()
+    built = 0
+    for key, g in _small_graphs():
+        h.update(repr((key, _structure(g))).encode())
+        built += 1
     assert built == 142
     assert h.hexdigest() == (
         "5da30be11b79a4f8517d047562194b4e969b7b846e8ef0031fb555cb9997d68f"
     )
+
+
+def test_paths_number_at_most_four_times_the_deepest_level():
+    # the bound that lets enumerate_paths go without a limit of its own;
+    # it is reached
+    ratios = []
+    for _, g in _small_graphs():
+        deepest = g.level_counts[g.depth]
+        for s in range(g.depth + 1):
+            for a in range(g.depth - s + 1):
+                n = len(enumerate_paths(g, s, a))
+                assert n <= 4 * deepest
+                ratios.append(n / deepest)
+    assert len(ratios) == 1078 and max(ratios) == 4
 
 
 def test_vertex_limit_refuses_before_building(monkeypatch):

@@ -1,14 +1,15 @@
 """The type guard of the public edge: every entry point that `cmlocus`
 exports, `factorize` and `canonical_conductor` behind them, and every public
-name of `cmlocus.forms` and `cmlocus.pathstats`, answers a float, a bool or
-an int beyond FACTOR_LIMIT with a ValidationError or with the answer it
-gives the plain int, and a refused argument never poisons a cache."""
+name of `cmlocus.forms` and `cmlocus.pathstats`, and the two views of
+`cmlocus.tables`, answers a float, a bool or an int beyond FACTOR_LIMIT with
+a ValidationError or with the answer it gives the plain int, and a refused
+argument never poisons a cache."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmlocus
-from cmlocus import forms, pathstats
+from cmlocus import forms, pathstats, tables
 from cmlocus import (
     K,
     OrderDisc,
@@ -86,6 +87,9 @@ CASES = {
     "is_ambiguous": (lambda a, b, c: forms.is_ambiguous((a, b, c)), (3, -2, 5)),
     "type_counts": (pathstats.type_counts, (-4, 3, 1, 1, 2)),
     "orbit_counts": (pathstats.orbit_counts, (-4, 5, 2)),
+    # the two table views that check --sweep compares with its oracles
+    "type_weights": (lambda f, ell, a: tables.type_weights(_order(-4, f), ell, a), (3, 5, 2)),
+    "real_points": (lambda dK, ell, a: tables.real_points(_order(dK, 1), ell, a), (-3, 7, 2)),
 }
 
 HUGE = (FACTOR_LIMIT + 1, 2**100 + 1, 10**30, -(10**30))

@@ -3,10 +3,9 @@ from collections import Counter
 import pytest
 
 from cmlocus.arith import OrderDisc, ValidationError, psi
-from cmlocus.forms import two_torsion_count
 from cmlocus.graph import conjugation_graph, enumerate_paths, geometric_points
 from cmlocus.pathstats import orbit_counts, type_counts
-from cmlocus.tables import class_d, class_e, path_classes
+from cmlocus.tables import real_points, type_weights
 
 GRID = [
     (dK, ell, f0, L, a)
@@ -20,6 +19,8 @@ GRID = [
 
 
 def explicit_counts(dK, ell, f0, L, a):
+    # paths and real paths per type on the materialized graph; acceptance
+    # criterion 8 reads the same view
     g = conjugation_graph(dK, ell, f0, L + a)
     tot, real = Counter(), Counter()
     for p in enumerate_paths(g, L, a):
@@ -43,11 +44,8 @@ def test_walker_totals_match_tables(dK, ell):
         for L in (0, 1, 2):
             for a in range(1, 6 - L):
                 order = OrderDisc.from_parts(dK, ell**L * f0)
-                table = Counter()
-                for c in path_classes(order, ell, a):
-                    table[c.bhd] += class_e(order, c) * class_d(order, c) * c.count
                 walker = type_counts(dK, ell, f0, L, a)
-                assert {t: v[0] for t, v in walker.items()} == dict(table)
+                assert {t: v[0] for t, v in walker.items()} == type_weights(order, ell, a)
                 assert sum(v[0] for v in walker.values()) == psi(ell**a)
 
 
@@ -71,16 +69,9 @@ def test_real_orbits_count_rational_classes():
     for dK in (-3, -4):
         for ell in (2, 3, 5, 7, 13):
             for a in range(1, 7):
-                order = OrderDisc.from_parts(dK, 1)
-                q = Counter()
-                m = {}
-                for c in path_classes(order, ell, a):
-                    if not c.field.contains_K:
-                        q[c.bhd] += c.count
-                    m[c.bhd] = c.field.m
+                want = real_points(OrderDisc.from_parts(dK, 1), ell, a)
                 for t, (_tot, real) in orbit_counts(dK, ell, a).items():
-                    want = q[t] * two_torsion_count(m[t] ** 2 * dK) if q[t] else 0
-                    assert real == want
+                    assert real == want[t]
 
 
 @pytest.mark.parametrize(

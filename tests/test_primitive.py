@@ -89,15 +89,16 @@ def test_unique_field_branch():
 
 def test_primitive_fields_are_fiber_minima():
     # independent route: the composite casework must name exactly the
-    # minimal residue fields of the assembled fiber
+    # minimal residue fields of the assembled fiber, at conductors and
+    # levels past test_casework_matches_enumeration's grid
     from cmlocus.fields import embeds
     from cmlocus.locus import fiber_X0MN
 
     for dK in (-3, -4):
-        for f in (1, 2, 5):
+        for f in (9, 12, 30):
             order = OrderDisc.from_parts(dK, f)
-            for M, N in [(1, 8), (1, 45), (2, 8), (2, 60), (3, 9), (4, 16),
-                         (6, 36), (1, 49), (2, 50), (5, 25)]:
+            for M, N in [(1, 128), (2, 144), (3, 150), (6, 180), (5, 200), (4, 196),
+                         (1, 169)]:
                 fields, _ = primitive_X0MN(order, M, N)
                 fiber = fiber_X0MN(order, M, N)
                 for c in fiber.classes:
