@@ -46,7 +46,7 @@ def _order_from_args(args) -> OrderDisc:
 
 
 def _fiber(order, args):
-    from .fields import field_degree
+    from .fields import rcf_rel_degree
     from .locus import fiber_X0MN
 
     report = fiber_X0MN(order, args.M, args.N)
@@ -64,8 +64,9 @@ def _fiber(order, args):
         "psiCheck": report.psi_ok,
     }
     if args.format == "csv":
+        q_f = rcf_rel_degree(order.delta_K, order.f)  # [Q(f) : Q]
         lines = ["base,m,degree,d,e,count"] + [
-            f"{c.field.base},{c.field.m},{field_degree(c.field)},{c.d},{c.e},{c.count}"
+            f"{c.field.base},{c.field.m},{c.d * q_f},{c.d},{c.e},{c.count}"
             for c in report.classes
         ]
     else:

@@ -4,8 +4,8 @@ X1(M,N).
 
 Each prime's path table gives its classes, ``lift_residue_prime_power``
 lifts them to X0(ell^a', ell^a), and ``_prime_rows`` keeps both fields of
-every lifted part as integers; ``_folds`` combines one row per prime, the
-conductor of a combination being f times the product of the rows' ell-parts.
+every lifted part as integers; ``_folds`` combines one row per prime and
+multiplies the rows' conductor factors and their degree factors.
 """
 
 from collections import namedtuple
@@ -29,7 +29,6 @@ from .fields import (
     K,
     Q,
     check_delta_K,
-    field_degree,
     minimal_fields,
     rcf_rel_degree,
     unit_count,
@@ -40,6 +39,7 @@ from .tables import PathClass, path_classes
 ClosedPointClass = namedtuple(
     "ClosedPointClass", "field d e count path_type", defaults=(None,)
 )
+_Row = namedtuple("_Row", "count bhd m_down K_down d_down m_up K_up d_up descends")
 
 
 class FiberReport(namedtuple("FiberReport", "M N order classes check_total")):
@@ -137,68 +137,69 @@ def _check_divides(M, N):
 
 @lru_cache(maxsize=2048, typed=True)
 def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
-    """One prime's rows of the fiber, one per lifted part of ``classes`` =
-    path_classes(order, ell, a); the caller reads that table itself, so each
-    fiber reads each prime's table once.
+    """One prime's rows of the fiber, one ``_Row`` per lifted part of
+    ``classes`` = path_classes(order, ell, a); the caller reads that table
+    itself, so each fiber reads each prime's table once.
 
-    A row is the part's local contribution as plain integers: (multiplicity,
-    path shape, downstairs conductor factor, its K flag, lifted conductor
-    factor, its K flag, descends).  The factors are the ell-parts m / f of
-    the conductors of the class's field and of its lift; a field's conductor
-    is f times their product over the primes.
+    m_down and m_up are the ell-parts k = m / f of the conductors of the
+    class's field and of its lift, d_down and d_up their degree factors
+    [K(k f_ell) : K(f_ell)] = k - (k // ell) chi, chi = (delta_K / ell) or 0 if ell | f.
     """
     f = order.f
-    return tuple(
-        (count, cls.bhd, cls.field.m // f, cls.field.contains_K, up.m // f, up.contains_K,
-         cls.descents > 0)
-        for cls, up, count in _lifts(order, ell, a_prime, a, classes)
-    )
+    chi = 0 if f % ell == 0 else kronecker(order.delta_K, ell)
+    rows = []
+    for cls, up, count in _lifts(order, ell, a_prime, a, classes):
+        k, k_up = cls.field.m // f, up.m // f
+        rows.append(_Row(count, cls.bhd, k, cls.field.contains_K, k - k // ell * chi,
+                         k_up, up.contains_K, k_up - k_up // ell * chi, cls.descents > 0))
+    return tuple(rows)
 
 
 def _folds(order: OrderDisc, M: int, scale: int, per_prime) -> dict:
-    """The fiber's classes as {(contains_K, m, e, tag, degree): count},
-    folded on integers from every combination of the per-prime rows, in the
-    order in which ``product`` over the rows first reaches each class;
-    scale = M phi(M) and degree = [field : Q].
+    """The fiber's classes as {(contains_K, m, e, tag, d): count}, folded on
+    integers from every combination of the per-prime rows, in the order in
+    which ``product`` over the rows first reaches each class; scale =
+    M phi(M) and d = [field : Q(f)].
 
     Downstairs (on X0(N)) and lifted (on X0(M,N)) alike, a combination's
     field holds K when any of its rows does, and its conductor m is f times
-    the product of the rows' factors; its degree over Q is
-    d(m) = rcf_rel_degree(delta_K, m), doubled for K.  The count is
-    2^(s-1) M phi(M) e_down deg_down / (e_up deg_up), with s the number of
-    downstairs classes that hold K.  ``orbits.fiber_orbits`` is the
-    independent check of this rule.
+    the product of the rows' m's.  By the class number formula [K(m) : K(f)]
+    is the product of their d's, over w_K / 2 where f = 1 < m; d doubles it
+    for K.  The count is 2^(s-1) M phi(M) e_down d_down / (e_up d_up), with
+    s the number of downstairs classes that hold K.  ``orbits.fiber_orbits``
+    is the independent check of this rule.
 
     The rows of every prime but the last fold, prime by prime, into partial
-    states (multiplicity, the two factors and K flags, s, descends), one per
-    combination so far; a single prime's rows meet the one empty state.
+    states (multiplicity, the two factors and degrees, the lifted K flag, s,
+    descends), one per combination so far; a single prime's rows meet the
+    one empty state.
     """
     f, dK = order.f, order.delta_K
     w2 = unit_count(dK) // 2 if f == 1 else 1
-    states = [(1, 1, False, 1, False, 0, False)]
+    states = [(1, 1, 1, 1, False, 1, 0, False)]
     for rows in per_prime[:-1]:
         states = [
-            (n * c, md * md2, kd or kd2, mu * mu2, ku or ku2, s + kd2, ds or ds2)
-            for n, md, kd, mu, ku, s, ds in states
-            for c, _, md2, kd2, mu2, ku2, ds2 in rows
+            (n * c, md * md2, dd * dd2, mu * mu2, ku or ku2, du * du2, s + kd2, ds or ds2)
+            for n, md, dd, mu, ku, du, s, ds in states
+            for c, _, md2, kd2, dd2, mu2, ku2, du2, ds2 in rows
         ]
     single = len(per_prime) == 1
     merged: dict = {}
-    for n, md, kd, mu, ku, s, ds in states:
-        for c, tag, md2, kd2, mu2, ku2, ds2 in per_prime[-1]:
-            k_down, m_down = kd or kd2, f * md * md2
-            deg_down = rcf_rel_degree(dK, m_down) * (2 if k_down else 1)
+    for n, md, dd, mu, ku, du, s, ds in states:
+        for c, tag, md2, kd2, dd2, mu2, ku2, du2, ds2 in per_prime[-1]:
+            s_down, m_down = s + kd2, f * md * md2
+            d_down = (dd * dd2 // w2 if m_down > f else 1) * (2 if s_down else 1)
             e_down = w2 if ds or ds2 else 1
             if M == 1:
-                k_up, m_up, deg_up, e_up = k_down, m_down, deg_down, e_down
+                k_up, m_up, d_up, e_up = s_down > 0, m_down, d_down, e_down
             else:
-                k_up, m_up = ku or ku2, f * mu * mu2
-                deg_up, e_up = rcf_rel_degree(dK, m_up) * (2 if k_up else 1), w2
-            num = 2 ** max(s + kd2 - 1, 0) * scale * e_down * deg_down
-            den = e_up * deg_up
+                k_up, m_up, e_up = ku or ku2, f * mu * mu2, w2
+                d_up = (du * du2 // w2 if m_up > f else 1) * (2 if k_up else 1)
+            num = 2 ** max(s_down - 1, 0) * scale * e_down * d_down
+            den = e_up * d_up
             if num % den != 0:
                 raise ValidationError("non-integral point count: inconsistent data")
-            key = (k_up, m_up, e_up, tag if single else None, deg_up)
+            key = (k_up, m_up, e_up, tag if single else None, d_up)
             merged[key] = merged.get(key, 0) + num // den * n * c
     return merged
 
@@ -217,11 +218,8 @@ def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
         for ell, a in sorted(_factor_pairs(N))
     ]
     scale = M * euler_phi(M)
-    # one FieldSymbol per merged class; its degree came out of the fold
-    base_degree = rcf_rel_degree(dK, f)
     out, total = [], 0
-    for (has_K, m, e, tag, degree), count in _folds(order, M, scale, per_prime).items():
-        d = degree // base_degree
+    for (has_K, m, e, tag, d), count in _folds(order, M, scale, per_prime).items():
         out.append(ClosedPointClass(FieldSymbol("K" if has_K else "Q", m, dK), d, e, count, tag))
         total += e * d * count
     expected = psi(N) * scale
@@ -244,11 +242,13 @@ def enumerated_primitive(order: OrderDisc, M: int, N: int):
 
 @lru_cache(maxsize=2048, typed=True)
 def _primitive_row(order: OrderDisc, ell: int, a_prime: int, a: int):
-    """One prime's primitive casework as integers (b, c, split_deep): the
-    primitive fields on X0(ell^a', ell^a) are Q(ell^b f) and K(ell^c f), each
-    only where its exponent is not None, and split_deep is
-    ``_split_deep_level``.  The unchecked core of primitive_X0MN, which
-    takes ell^a from a level that passed factorize."""
+    """One prime's primitive casework as integers (b, c, split_deep, q,
+    q_deg, k, k_deg): the primitive fields on X0(ell^a', ell^a) are
+    Q(ell^b f) and K(ell^c f), each where its exponent is not None, and
+    split_deep is ``_split_deep_level``.  q = ell^b and k = ell^c (ell^b
+    where c is None) are the parts of the conductors over the primes, with
+    the degree factors of ``_prime_rows``.  The unchecked core of
+    primitive_X0MN, which takes ell^a from a level that passed factorize."""
     # no field is built here, so a refused delta_K must raise before caching
     check_delta_K(order.delta_K)
     if a_prime == 0:
@@ -262,7 +262,10 @@ def _primitive_row(order: OrderDisc, ell: int, a_prime: int, a: int):
         b, c = None, a
     else:
         b, c = _primitive_two_even(order, a)
-    return b, c, _split_deep_level(order, ell, a)
+    chi = 0 if order.f % ell == 0 else kronecker(order.delta_K, ell)
+    q, k = None if b is None else ell**b, ell ** (b if c is None else c)
+    q_deg = None if b is None else q - q // ell * chi
+    return b, c, _split_deep_level(order, ell, a), q, q_deg, k, k - k // ell * chi
 
 
 def _primitive_base(order: OrderDisc, ell: int, a: int):
@@ -324,31 +327,27 @@ def primitive_X0MN(order: OrderDisc, M: int, N: int):
     """Primitive residue fields and primitive degrees on X0(M,N)."""
     _check_divides(M, N)
     dK, f = order.delta_K, order.f
-    rows = [
-        (ell, *_primitive_row(order, ell, valuation(M, ell), a))
-        for ell, a in _factor_pairs(N)
-    ]
-    C = 1
-    for ell, b, c, _ in rows:
-        C *= ell ** (b if c is None else c)
+    rows = [_primitive_row(order, ell, valuation(M, ell), a) for ell, a in _factor_pairs(N)]
+    # the degrees multiply the rows' factors, as in _folds
+    base, w2 = rcf_rel_degree(dK, f), (unit_count(dK) // 2 if f == 1 else 1)
+    C = dC = 1
+    for *_, k, k_deg in rows:
+        C, dC = C * k, dC * k_deg
+    kdeg = 2 * base * (dC // w2 if C > 1 else 1)
     if M == 1 or (M == 2 and order.delta % 2 == 0):
         # every prime lists a rational field on this branch, so b is an int
-        B, split_deep = 1, []
-        for ell, b, c, sd in rows:
-            B *= ell**b
+        B = dB = 1
+        split_deep = []
+        for _, c, sd, q, q_deg, _, _ in rows:
+            B, dB = B * q, dB * q_deg
             if c is not None:
                 split_deep.append(sd)
-        qfield = Q(B * f, dK)
+        qfield, qdeg = Q(B * f, dK), base * (dB // w2 if B > 1 else 1)
         if not split_deep:
-            return ([qfield], [field_degree(qfield)])
-        kfield = K(C * f, dK)
-        if all(split_deep):
-            degrees = sorted({field_degree(qfield), field_degree(kfield)})
-        else:
-            degrees = [field_degree(kfield)]
-        return ([qfield, kfield], degrees)
-    kfield = K(C * f, dK)
-    return ([kfield], [field_degree(kfield)])
+            return ([qfield], [qdeg])
+        degrees = sorted({qdeg, kdeg}) if all(split_deep) else [kdeg]
+        return ([qfield, K(C * f, dK)], degrees)
+    return ([K(C * f, dK)], [kdeg])
 
 
 # -- X1(M,N) transfer ---------------------------------------------------------

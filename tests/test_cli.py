@@ -410,6 +410,18 @@ def test_fiber_at_large_prime_level(capsys):
     assert payload["checkTotal"] == 100000000000000000040
 
 
+def test_fiber_past_the_guard_in_its_conductors(capsys):
+    # N = 30030^5 passes the guard, and the fold composes conductors up to
+    # 30030^6, which do not; the degrees come from the rows, not from them
+    argv = ("fiber", "--dk", "-4", "--f", "30030", "--N", "24421743243121524300000")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["classes"]) == 662 and payload["psiCheck"] is True
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 663
+
+
 # -- lazy loading: the package and the CLI load each module on first use --
 
 PUBLIC_NAMES = [

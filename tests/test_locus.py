@@ -5,14 +5,18 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmlocus.arith import OrderDisc, ValidationError, _factor_items, factorize, psi
+from cmlocus.arith import (
+    FACTOR_LIMIT, OrderDisc, ValidationError, _factor_items, factorize, psi,
+)
 from cmlocus.fields import K, Q, embeds, field_degree, is_isomorphic, rcf_rel_degree
 from cmlocus import locus
 from cmlocus.locus import (
+    enumerated_primitive,
     fiber_X0MN,
     lift_residue_prime_power,
     primitive_X0MN,
     x1_fiber,
+    _Row,
     _prime_rows,
     _primitive_row,
     _split_deep_level,
@@ -290,6 +294,69 @@ def test_psi_identity_property(dK, f, N, pick):
     assert total == _psi_phi(N)[0] * M * _psi_phi(M)[1]
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def _reach_levels(draw):
+    # f over a few small primes, and M | N <= FACTOR_LIMIT over primes of f
+    # and at most one more, so the fold composes conductors up to f N, past
+    # the guard.  Each prime's own conductors f ell^a stay within it:
+    # tables.class_d still factorizes them
+    f_exps = draw(st.dictionaries(st.sampled_from(_SMALL_PRIMES), st.integers(1, 3),
+                                  min_size=1, max_size=3))
+    f = prod(ell**k for ell, k in f_exps.items())
+    n_primes = draw(st.lists(st.sampled_from(sorted(f_exps)), min_size=1, unique=True))
+    n_primes += draw(st.lists(st.sampled_from(_SMALL_PRIMES).filter(
+        lambda ell: ell not in f_exps), max_size=1))
+    N = M = 1
+    for ell in n_primes:
+        a = draw(st.integers(1, 40))
+        while max(N, f) * ell**a > FACTOR_LIMIT:
+            a -= 1
+        N, M = N * ell**a, M * ell ** draw(st.integers(0, a))
+    return draw(st.sampled_from((-3, -4))), f_exps, M, N
+
+
+def _chi(dK, ell):
+    return 0 if dK % ell == 0 else (1 if ell % -dK == 1 else -1)
+
+
+def _degree(dK, m, primes):
+    # [K(m) : K(1)] = (2 / w_K) prod ell^(k-1) (ell - chi(ell)) over ell^k || m > 1,
+    # m being a product of powers of ``primes``; doubled for K(m)
+    num = 2
+    for ell in primes:
+        k = 0
+        while m % ell == 0:
+            m, k = m // ell, k + 1
+        num *= ell ** (k - 1) * (ell - _chi(dK, ell)) if k else 1
+    assert m == 1
+    return 1 if num == 2 else num // (6 if dK == -3 else 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_reach_levels())
+def test_fiber_reaches_every_level_the_guard_accepts(level):
+    # the fold and the primitive casework answer from their rows, whatever
+    # size their conductors reach; each degree is the class number formula
+    # at the primes drawn, factorizing no m
+    dK, f_exps, M, N = level
+    f = prod(ell**k for ell, k in f_exps.items())
+    order = OrderDisc.from_parts(dK, f)
+    primes = set(f_exps) | {ell for ell in _SMALL_PRIMES if N % ell == 0}
+
+    def degree(field):
+        return _degree(dK, field.m, primes) * (2 if field.contains_K else 1)
+
+    base = _degree(dK, f, primes)
+    for c in fiber_X0MN(order, M, N).classes:
+        assert c.d * base == degree(c.field), (level, c)
+    fields, degrees = primitive_X0MN(order, M, N)
+    assert set(fields) == set(enumerated_primitive(order, M, N))
+    assert set(degrees) <= {degree(F) for F in fields}
+
+
 def _row_fields(order, ell, row):
     # the fields a row stands for: Q(ell^b f) first, then K(ell^c f)
     b, c = row[:2]
@@ -343,22 +410,30 @@ def test_refused_delta_K_is_not_cached():
     assert _primitive_row.cache_info().currsize == 0
 
 
-def test_fiber_sweep_grid_is_pinned():
-    # SHA-256 of the reports over the benchmark's fiber_sweep grid; any
-    # change to a field, degree, count, class order or path shape shows
-    # here.  Pinned after the deep 2-adic lift on X0(2, 2^a), which changed
-    # the 12 reports of delta_K = -4, f = 4, M = 2, N = 8k and no other
+@pytest.mark.parametrize("f_max, N_max, sha", [
+    pytest.param(6, 96, "9050e78b328937556286b9f6b6ef9b7718bf546ffbe7d35ae4702dd2d14d1e42",
+                 id="fiber_sweep"),
+    pytest.param(8, 160, "ba390e6b294941f8214bbb3c94f4616f41310626184081f18e48898432445a82",
+                 id="f8_N160"),
+])
+def test_fiber_sweep_grid_is_pinned(f_max, N_max, sha):
+    # SHA-256 of the reports, one repr per level and no level key, over the
+    # benchmark's fiber_sweep grid and over the wider f <= 8, M | N <= 160;
+    # any change to a field, degree, count, class order or path shape shows
+    # here.  The first was pinned after the deep 2-adic lift on X0(2, 2^a),
+    # which changed the 12 reports of delta_K = -4, f = 4, M = 2, N = 8k and
+    # no other
     h = hashlib.sha256()
     for dK in (-3, -4):
-        for f in range(1, 7):
+        for f in range(1, f_max + 1):
             order = OrderDisc.from_parts(dK, f)
-            for N in range(1, 97):
+            for N in range(1, N_max + 1):
                 for M in range(1, N + 1):
                     if N % M == 0:
                         reports = (fiber_X0MN(order, M, N), primitive_X0MN(order, M, N),
                                    x1_fiber(order, M, N))
                         h.update(repr(reports).encode())
-    assert h.hexdigest() == "9050e78b328937556286b9f6b6ef9b7718bf546ffbe7d35ae4702dd2d14d1e42"
+    assert h.hexdigest() == sha
 
 
 def test_fiber_degrees_match_the_field_degrees():
@@ -375,8 +450,6 @@ def test_fiber_degrees_match_the_field_degrees():
                             assert c.d == field_degree(c.field) // base, (dK, f, M, N, c)
 
 
-# one row of _prime_rows: (multiplicity, path shape, downstairs factor, its K
-# flag, lifted factor, its K flag, descends)
 def _fake_rows(monkeypatch, *rows):
     monkeypatch.setattr(locus, "_prime_rows", lambda *args: rows)
 
@@ -384,13 +457,15 @@ def _fake_rows(monkeypatch, *rows):
 def test_fold_refuses_a_non_integral_count(monkeypatch):
     # on X0(5, 5) over Z[i] a lifted K(7) has degree 8 and e = 2, and
     # 5 phi(5) = 20 points do not divide into 16
-    _fake_rows(monkeypatch, (1, (0, 0, 1), 1, False, 7, True, False))
+    _fake_rows(monkeypatch, _Row(count=1, bhd=(0, 0, 1), m_down=1, K_down=False, d_down=1,
+                                 m_up=7, K_up=True, d_up=8, descends=False))
     with pytest.raises(ValidationError, match="non-integral"):
         fiber_X0MN(O4, 5, 5)
 
 
 def test_fold_checks_the_psi_total(monkeypatch):
     # one rational point where X0(5) has psi(5) = 6 points over j = 1728
-    _fake_rows(monkeypatch, (1, (0, 0, 1), 1, False, 1, False, False))
+    _fake_rows(monkeypatch, _Row(count=1, bhd=(0, 0, 1), m_down=1, K_down=False, d_down=1,
+                                 m_up=1, K_up=False, d_up=1, descends=False))
     with pytest.raises(AssertionError, match="fiber degree check failed"):
         fiber_X0MN(O4, 1, 5)
