@@ -266,9 +266,11 @@ class OrderDisc(namedtuple("OrderDisc", "delta delta_K f")):
         if self.delta_K not in (-3, -4) and not is_fundamental(self.delta_K):
             raise ValidationError(f"{self.delta_K} is not fundamental")
 
-    @classmethod
-    def from_parts(cls, delta_K: int, f: int) -> "OrderDisc":
-        return cls(f * f * delta_K, delta_K, f)
+    @staticmethod
+    @lru_cache(maxsize=256, typed=True)
+    def from_parts(delta_K: int, f: int) -> "OrderDisc":
+        # built and checked once per order; typed, so True never finds 1's entry
+        return OrderDisc(f * f * delta_K, delta_K, f)
 
     def ell_valuation(self, ell: int) -> int:
         """ord_ell of the conductor."""

@@ -50,6 +50,8 @@ def _fiber(order, args):
     from .locus import fiber_X0MN
 
     report = fiber_X0MN(order, args.M, args.N)
+    # [Q(f) : Q] for the csv degrees; read in every format, so all refuse the same f
+    q_f = rcf_rel_degree(order.delta_K, order.f)
     body = {
         "classes": [
             {
@@ -64,7 +66,6 @@ def _fiber(order, args):
         "psiCheck": report.psi_ok,
     }
     if args.format == "csv":
-        q_f = rcf_rel_degree(order.delta_K, order.f)  # [Q(f) : Q]
         lines = ["base,m,degree,d,e,count"] + [
             f"{c.field.base},{c.field.m},{c.d * q_f},{c.d},{c.e},{c.count}"
             for c in report.classes

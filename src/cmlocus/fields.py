@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import ValidationError, _check_consistent, _check_int, factorize, kronecker
+from .arith import ValidationError, _check_consistent, _check_int, factorize
 
 RATIONAL = "Q"
 RING_CLASS = "K"
@@ -29,6 +29,11 @@ def unit_count(delta_K: int) -> int:
     """w_K = #Z_K^x."""
     check_delta_K(delta_K)
     return 6 if delta_K == -3 else 4
+
+
+def _chi(delta_K: int, ell: int) -> int:
+    # (delta_K / ell) at a prime ell for delta_K in {-3, -4}, by ell mod 3 or 4
+    return (0, 1, -1)[ell % 3] if delta_K == -3 else (0, 1, 0, -1)[ell % 4]
 
 
 def in_S(f: int, delta_K: int) -> bool:
@@ -54,7 +59,7 @@ def rcf_rel_degree(delta_K: int, f: int) -> int:
     num = 2 * f
     den = unit_count(delta_K)
     for ell in factorize(f):
-        num = num // ell * (ell - kronecker(delta_K, ell))
+        num = num // ell * (ell - _chi(delta_K, ell))
     _check_consistent(num % den == 0, f"d({f}) = {num}/{den} is not an integer")
     return num // den
 
@@ -106,12 +111,19 @@ class FieldSymbol(namedtuple("FieldSymbol", "base m delta_K")):
         return f"{self.base}({self.m})"
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _symbol(base: str, m: int, delta_K: int) -> FieldSymbol:
+    # each distinct field is built and checked once and then shared; typed,
+    # so 15.0 or True never finds the entry of 15 or 1
+    return FieldSymbol(base, m, delta_K)
+
+
 def Q(m: int, delta_K: int) -> FieldSymbol:
-    return FieldSymbol(RATIONAL, m, delta_K)
+    return _symbol(RATIONAL, m, delta_K)
 
 
 def K(m: int, delta_K: int) -> FieldSymbol:
-    return FieldSymbol(RING_CLASS, m, delta_K)
+    return _symbol(RING_CLASS, m, delta_K)
 
 
 def field_degree(sym: FieldSymbol) -> int:

@@ -20,14 +20,14 @@ from .arith import (
     _check_power,
     _factor_pairs,
     euler_phi,
-    kronecker,
     psi,
     valuation,
 )
 from .fields import (
-    FieldSymbol,
     K,
     Q,
+    _chi,
+    _symbol,
     check_delta_K,
     minimal_fields,
     rcf_rel_degree,
@@ -91,7 +91,7 @@ def _lifts(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
             m = lcm(2 * f, field.m)
             k = _K_lifts(order, a, cls)
             if k < count:
-                yield cls, FieldSymbol(field.base, m, dK), count - k
+                yield cls, _symbol(field.base, m, dK), count - k
             if k:
                 yield cls, K(m, dK), k
 
@@ -135,6 +135,16 @@ def _check_divides(M, N):
         raise ValidationError(f"need M | N, got M={M}, N={N}")
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _level(M: int, N: int):
+    """The plan of a level M | N, shared by every order: its sorted (ell,
+    a' = ord_ell M, a) with ell^a || N, scale = M phi(M), and the psi total
+    psi(N) scale.  Read after _check_divides."""
+    scale = M * euler_phi(M)
+    primes = tuple((ell, valuation(M, ell), a) for ell, a in sorted(_factor_pairs(N)))
+    return primes, scale, psi(N) * scale
+
+
 @lru_cache(maxsize=2048, typed=True)
 def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
     """One prime's rows of the fiber, one ``_Row`` per lifted part of
@@ -146,7 +156,7 @@ def _prime_rows(order: OrderDisc, ell: int, a_prime: int, a: int, classes):
     [K(k f_ell) : K(f_ell)] = k - (k // ell) chi, chi = (delta_K / ell) or 0 if ell | f.
     """
     f = order.f
-    chi = 0 if f % ell == 0 else kronecker(order.delta_K, ell)
+    chi = 0 if f % ell == 0 else _chi(order.delta_K, ell)
     rows = []
     for cls, up, count in _lifts(order, ell, a_prime, a, classes):
         k, k_up = cls.field.m // f, up.m // f
@@ -211,18 +221,17 @@ def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
     if N == 1:
         cls = ClosedPointClass(Q(f, dK), 1, 1, 1, (0, 0, 0))
         return FiberReport(M, N, order, (cls,), 1)
+    primes, scale, expected = _level(M, N)
     # each prime's table is read here, outside the cached _prime_rows: the
     # perfbench tracer counts a fiber's combinations from these reads
     per_prime = [
-        _prime_rows(order, ell, valuation(M, ell), a, path_classes(order, ell, a))
-        for ell, a in sorted(_factor_pairs(N))
+        _prime_rows(order, ell, a_prime, a, path_classes(order, ell, a))
+        for ell, a_prime, a in primes
     ]
-    scale = M * euler_phi(M)
     out, total = [], 0
     for (has_K, m, e, tag, d), count in _folds(order, M, scale, per_prime).items():
-        out.append(ClosedPointClass(FieldSymbol("K" if has_K else "Q", m, dK), d, e, count, tag))
+        out.append(ClosedPointClass(_symbol("K" if has_K else "Q", m, dK), d, e, count, tag))
         total += e * d * count
-    expected = psi(N) * scale
     if total != expected:
         raise AssertionError(
             f"fiber degree check failed for (delta={order.delta}, M={M}, N={N}): "
@@ -254,7 +263,7 @@ def _primitive_row(order: OrderDisc, ell: int, a_prime: int, a: int):
     if a_prime == 0:
         b, c = _primitive_base(order, ell, a)
     elif ell**a_prime >= 3:
-        chiK = kronecker(order.delta_K, ell)
+        chiK = _chi(order.delta_K, ell)
         L = order.ell_valuation(ell)
         b, c = None, a_prime if chiK == 1 else max(a_prime, a - 2 * L - (chiK == 0))
     elif order.delta % 2 != 0:
@@ -262,7 +271,7 @@ def _primitive_row(order: OrderDisc, ell: int, a_prime: int, a: int):
         b, c = None, a
     else:
         b, c = _primitive_two_even(order, a)
-    chi = 0 if order.f % ell == 0 else kronecker(order.delta_K, ell)
+    chi = 0 if order.f % ell == 0 else _chi(order.delta_K, ell)
     q, k = None if b is None else ell**b, ell ** (b if c is None else c)
     q_deg = None if b is None else q - q // ell * chi
     return b, c, _split_deep_level(order, ell, a), q, q_deg, k, k - k // ell * chi
@@ -271,8 +280,8 @@ def _primitive_row(order: OrderDisc, ell: int, a_prime: int, a: int):
 def _primitive_base(order: OrderDisc, ell: int, a: int):
     """(b, c) on X0(ell^a)."""
     L = order.ell_valuation(ell)
-    chi = kronecker(order.delta, ell)
-    chiK = kronecker(order.delta_K, ell)
+    chiK = _chi(order.delta_K, ell)
+    chi = 0 if L else chiK  # (delta / ell)
     if ell**a == 2:
         return int(chi == -1), None
     if L == 0:
@@ -315,19 +324,14 @@ def _split_deep_level(order: OrderDisc, ell: int, a: int) -> bool:
     stay incomparable: ell odd and split, below-surface start, path length
     beyond twice the starting depth."""
     L = order.ell_valuation(ell)
-    return (
-        ell > 2
-        and L >= 1
-        and kronecker(order.delta_K, ell) == 1
-        and a > 2 * L
-    )
+    return ell > 2 and L >= 1 and _chi(order.delta_K, ell) == 1 and a > 2 * L
 
 
 def primitive_X0MN(order: OrderDisc, M: int, N: int):
     """Primitive residue fields and primitive degrees on X0(M,N)."""
     _check_divides(M, N)
     dK, f = order.delta_K, order.f
-    rows = [_primitive_row(order, ell, valuation(M, ell), a) for ell, a in _factor_pairs(N)]
+    rows = [_primitive_row(order, ell, a_prime, a) for ell, a_prime, a in _level(M, N)[0]]
     # the degrees multiply the rows' factors, as in _folds
     base, w2 = rcf_rel_degree(dK, f), (unit_count(dK) // 2 if f == 1 else 1)
     C = dC = 1
@@ -360,7 +364,7 @@ def elliptic_compatible(order: OrderDisc, M: int, N: int) -> bool:
     if order.delta not in (-3, -4) or M != 1:
         return False
     for ell, a in _factor_pairs(N):
-        chi = kronecker(order.delta, ell)
+        chi = _chi(order.delta, ell)
         if chi == -1 or (chi == 0 and a >= 2):
             return False
     return True

@@ -22,10 +22,9 @@ from .arith import (
     _check_consistent,
     _check_power,
     _check_prime,
-    kronecker,
     psi,
 )
-from .fields import K, Q, check_delta_K, field_degree, rcf_rel_degree
+from .fields import K, Q, _chi, check_delta_K, field_degree, rcf_rel_degree, unit_count
 
 
 class PathClass(namedtuple("PathClass", "bhd field count type_tag")):
@@ -59,7 +58,7 @@ def path_classes(order: OrderDisc, ell: int, a: int) -> tuple[PathClass, ...]:
     dK = order.delta_K
     f = order.f
     L = order.ell_valuation(ell)
-    sym = kronecker(dK, ell)
+    sym = _chi(dK, ell)
     out: list[PathClass] = []
 
     def add(tag, b, h, d, field, count):
@@ -104,7 +103,7 @@ def path_classes(order: OrderDisc, ell: int, a: int) -> tuple[PathClass, ...]:
     else:
         _ell2_classes(dK, f, L, a, sym, add)
 
-    total = sum(_weight(order, c) for c in out)
+    total = sum(_weight(order, c, ell) for c in out)
     if total != psi(ell**a):
         raise AssertionError(
             f"table inconsistency at (dK={dK}, f={f}, l={ell}, a={a}): "
@@ -172,8 +171,14 @@ def class_d(order: OrderDisc, cls: PathClass) -> int:
     return num // den
 
 
-def _weight(order: OrderDisc, cls: PathClass) -> int:
-    return class_e(order, cls) * class_d(order, cls) * cls.count
+def _weight(order: OrderDisc, cls: PathClass, ell: int) -> int:
+    # class_d from the class's ell-part k = m / f, as locus._prime_rows takes
+    # it, so no conductor f ell^j past the guard is factorized
+    f, k = order.f, cls.field.m // order.f
+    d = k - k // ell * (0 if f % ell == 0 else _chi(order.delta_K, ell))
+    if f == 1 < k:
+        d //= unit_count(order.delta_K) // 2
+    return class_e(order, cls) * d * (2 if cls.field.contains_K else 1) * cls.count
 
 
 def type_weights(order: OrderDisc, ell: int, a: int) -> Counter:
@@ -181,7 +186,7 @@ def type_weights(order: OrderDisc, ell: int, a: int) -> Counter:
     the per-shape path totals the walker in ``pathstats`` rederives."""
     out = Counter()
     for c in path_classes(order, ell, a):
-        out[c.bhd] += _weight(order, c)
+        out[c.bhd] += _weight(order, c, ell)
     return out
 
 

@@ -2,17 +2,20 @@ import importlib
 import pkgutil
 
 import cmlocus
+from cmlocus.arith import OrderDisc
 
 
 def _caches():
     """Every function of a cmlocus module, public or private, that carries
-    an lru_cache, as {qualified name: function}."""
+    an lru_cache, as {qualified name: function}, and the cache that
+    OrderDisc.from_parts is."""
     out = {}
     for info in pkgutil.iter_modules(cmlocus.__path__):
         mod = importlib.import_module(f"cmlocus.{info.name}")
         for name, obj in vars(mod).items():
             if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
                 out[f"{info.name}.{name}"] = obj
+    out["arith.OrderDisc.from_parts"] = OrderDisc.from_parts
     return out
 
 
@@ -20,6 +23,9 @@ def test_every_cache_is_bounded():
     caches = _caches()
     assert {
         "arith._factor_items",
+        "arith.OrderDisc.from_parts",
+        "fields._symbol",
+        "locus._level",
         "tables.path_classes",
         "locus._prime_rows",
         "locus._primitive_row",

@@ -422,6 +422,21 @@ def test_fiber_past_the_guard_in_its_conductors(capsys):
     assert code == 0 and len(out.splitlines()) == 663
 
 
+def test_fiber_past_the_guard_in_its_prime_table(capsys):
+    # f = 2 * 23^3 and N = 23^15 pass the guard, and the 23-adic table's
+    # conductors f 23^j reach f 23^15 ~ 6.5e24, which does not; as 23 | f,
+    # each class's d is its 23-part m / f, doubled for K
+    f = 2 * 23**3
+    argv = ("fiber", "--dk", "-3", "--f", str(f), "--N", str(23**15), "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["classes"]) == 5 and payload["psiCheck"] is True
+    assert max(c["field"]["m"] for c in payload["classes"]) == f * 23**15
+    for c in payload["classes"]:
+        assert c["d"] == c["field"]["m"] // f * (2 if c["field"]["base"] == "K" else 1)
+
+
 # -- lazy loading: the package and the CLI load each module on first use --
 
 PUBLIC_NAMES = [

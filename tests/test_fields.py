@@ -3,11 +3,12 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
-from cmlocus.arith import ValidationError
+from cmlocus.arith import OrderDisc, ValidationError, _is_probable_prime, kronecker
 from cmlocus.fields import (
     FieldSymbol,
     K,
     Q,
+    _chi,
     canonical_conductor,
     check_delta_K,
     compose_rcf,
@@ -180,3 +181,38 @@ def test_domain_guard(dK):
     ):
         with pytest.raises(ValidationError):
             call()
+
+
+def test_closed_form_symbol_is_kronecker():
+    # (delta_K / ell) by ell mod 3 or mod 4 replaces kronecker on the
+    # per-prime paths; it must agree at every prime, 2 and delta_K's own included
+    for dK in (-3, -4):
+        for ell in range(2, 10**4):
+            if _is_probable_prime(ell):
+                assert _chi(dK, ell) == kronecker(dK, ell), (dK, ell)
+
+
+def test_interned_records_are_shared():
+    assert Q(15, -4) is Q(15, -4) and K(1, -4) is K(1, -4)
+    assert OrderDisc.from_parts(-4, 1) is OrderDisc.from_parts(-4, 1)
+    assert Q(15, -4) is not K(15, -4) and Q(15, -4) is not Q(15, -3)
+
+
+def test_interned_records_still_refuse_what_their_key_equals():
+    # the caches are typed: 15.0 and True hash and compare equal to 15 and
+    # 1, but never find their entries, so the record's own check still runs
+    Q(15, -4), K(1, -4), OrderDisc.from_parts(-4, 1)
+    for call in (
+        lambda: Q(15.0, -4),
+        lambda: K(True, -4),
+        lambda: OrderDisc.from_parts(-4, True),
+        lambda: OrderDisc.from_parts(-4, 1.0),
+        lambda: Q(15, -4.0),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+    # calling the record type directly checks on every call
+    with pytest.raises(ValidationError):
+        FieldSymbol("Q", 15.0, -4)
+    with pytest.raises(ValidationError):
+        OrderDisc(-4, -4, True)

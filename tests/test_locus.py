@@ -301,8 +301,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _reach_levels(draw):
     # f over a few small primes, and M | N <= FACTOR_LIMIT over primes of f
     # and at most one more, so the fold composes conductors up to f N, past
-    # the guard.  Each prime's own conductors f ell^a stay within it:
-    # tables.class_d still factorizes them
+    # the guard, and so may each prime's own table, up to f ell^a
     f_exps = draw(st.dictionaries(st.sampled_from(_SMALL_PRIMES), st.integers(1, 3),
                                   min_size=1, max_size=3))
     f = prod(ell**k for ell, k in f_exps.items())
@@ -312,7 +311,7 @@ def _reach_levels(draw):
     N = M = 1
     for ell in n_primes:
         a = draw(st.integers(1, 40))
-        while max(N, f) * ell**a > FACTOR_LIMIT:
+        while N * ell**a > FACTOR_LIMIT:
             a -= 1
         N, M = N * ell**a, M * ell ** draw(st.integers(0, a))
     return draw(st.sampled_from((-3, -4))), f_exps, M, N
