@@ -208,6 +208,7 @@ def psi(n: int) -> int:
 def valuation(n: int, ell: int) -> int:
     """ord_ell(n) for n >= 1 and ell >= 2; anything else would never return
     (n = 0, ell = 1 or -1) or divide by zero (ell = 0), so it is refused."""
+    _check_int(n, ell)
     if n < 1 or ell < 2:
         raise ValidationError(f"valuation needs n >= 1 and ell >= 2, got n={n}, ell={ell}")
     v = 0
@@ -223,6 +224,7 @@ def _squarefree(n: int) -> bool:
 
 def is_fundamental(d: int) -> bool:
     """True iff ``d`` is a fundamental imaginary quadratic discriminant."""
+    _check_int(d)
     if d >= 0:
         return False
     if d % 4 == 1:

@@ -47,7 +47,7 @@ class FiberReport(namedtuple("FiberReport", "M N order classes check_total")):
 
     @property
     def expected_total(self) -> int:
-        return psi(self.N) * self.M * euler_phi(self.M)
+        return _level(self.M, self.N)[2]
 
     @property
     def psi_ok(self) -> bool:
@@ -119,6 +119,7 @@ def _K_lifts(order: OrderDisc, a: int, cls: PathClass) -> int:
     exactly when "y odd" and "not in the Cartan" agree on the stabilizer of
     C.  ``orbits.fiber_orbits`` checks the rule.
     """
+    # the order enters as delta_K, L and (in _lifts) delta % 2, a function of (delta_K, L)
     L = order.ell_valuation(2)
     if cls.horizontal:
         # L = 0 is an odd conductor: delta_K = -4
@@ -138,11 +139,11 @@ def _check_divides(M, N):
 @lru_cache(maxsize=1024, typed=True)
 def _level(M: int, N: int):
     """The plan of a level M | N, shared by every order: its sorted (ell,
-    a' = ord_ell M, a) with ell^a || N, scale = M phi(M), and the psi total
-    psi(N) scale.  Read after _check_divides."""
+    a' = ord_ell M, a) with ell^a || N, scale = M phi(M), the psi total
+    psi(N) scale, and phi(N).  Read after _check_divides."""
     scale = M * euler_phi(M)
     primes = tuple((ell, valuation(M, ell), a) for ell, a in sorted(_factor_pairs(N)))
-    return primes, scale, psi(N) * scale
+    return primes, scale, psi(N) * scale, euler_phi(N)
 
 
 @lru_cache(maxsize=2048, typed=True)
@@ -179,49 +180,42 @@ def _folds(order: OrderDisc, M: int, scale: int, per_prime) -> dict:
     s the number of downstairs classes that hold K.  ``orbits.fiber_orbits``
     is the independent check of this rule.
 
-    The rows of every prime but the last fold, prime by prime, into partial
-    states (multiplicity, the two factors and degrees, the lifted K flag, s,
-    descends), one per combination so far; a single prime's rows meet the
-    one empty state.
+    Every prime's rows fold, prime by prime, into states (multiplicity, the
+    two factors and degrees, the lifted K flag, s, descends, tag), one per
+    combination, from the empty state: N = 1's one class.  The tag is the
+    row's bhd at the first prime and None after it.  At M = 1 every a' is 0,
+    so the lift keeps each field and only e tells the two levels apart.
     """
     f, dK = order.f, order.delta_K
     w2 = unit_count(dK) // 2 if f == 1 else 1
-    states = [(1, 1, 1, 1, False, 1, 0, False)]
-    for rows in per_prime[:-1]:
+    states = [(1, 1, 1, 1, False, 1, 0, False, (0, 0, 0))]
+    for i, rows in enumerate(per_prime):
         states = [
-            (n * c, md * md2, dd * dd2, mu * mu2, ku or ku2, du * du2, s + kd2, ds or ds2)
-            for n, md, dd, mu, ku, du, s, ds in states
-            for c, _, md2, kd2, dd2, mu2, ku2, du2, ds2 in rows
+            (n * c, md * md2, dd * dd2, mu * mu2, ku or ku2, du * du2, s + kd2, ds or ds2,
+             None if i else bhd)
+            for n, md, dd, mu, ku, du, s, ds, _ in states
+            for c, bhd, md2, kd2, dd2, mu2, ku2, du2, ds2 in rows
         ]
-    single = len(per_prime) == 1
     merged: dict = {}
-    for n, md, dd, mu, ku, du, s, ds in states:
-        for c, tag, md2, kd2, dd2, mu2, ku2, du2, ds2 in per_prime[-1]:
-            s_down, m_down = s + kd2, f * md * md2
-            d_down = (dd * dd2 // w2 if m_down > f else 1) * (2 if s_down else 1)
-            e_down = w2 if ds or ds2 else 1
-            if M == 1:
-                k_up, m_up, d_up, e_up = s_down > 0, m_down, d_down, e_down
-            else:
-                k_up, m_up, e_up = ku or ku2, f * mu * mu2, w2
-                d_up = (du * du2 // w2 if m_up > f else 1) * (2 if k_up else 1)
-            num = 2 ** max(s_down - 1, 0) * scale * e_down * d_down
-            den = e_up * d_up
-            if num % den != 0:
-                raise ValidationError("non-integral point count: inconsistent data")
-            key = (k_up, m_up, e_up, tag if single else None, d_up)
-            merged[key] = merged.get(key, 0) + num // den * n * c
+    for n, md, dd, mu, k_up, du, s, ds, tag in states:
+        d_down = (dd // w2 if md > 1 else 1) * (2 if s else 1)
+        d_up = (du // w2 if mu > 1 else 1) * (2 if k_up else 1)
+        e_down = w2 if ds else 1
+        e_up = e_down if M == 1 else w2
+        num = 2 ** max(s - 1, 0) * scale * e_down * d_down
+        den = e_up * d_up
+        if num % den != 0:
+            raise ValidationError("non-integral point count: inconsistent data")
+        key = (k_up, f * mu, e_up, tag, d_up)
+        merged[key] = merged.get(key, 0) + num // den * n
     return merged
 
 
 def fiber_X0MN(order: OrderDisc, M: int, N: int) -> FiberReport:
     """The full fiber of X0(M,N) -> X(1) over the CM point of ``order``."""
     _check_divides(M, N)
-    f, dK = order.f, order.delta_K
-    if N == 1:
-        cls = ClosedPointClass(Q(f, dK), 1, 1, 1, (0, 0, 0))
-        return FiberReport(M, N, order, (cls,), 1)
-    primes, scale, expected = _level(M, N)
+    dK = order.delta_K
+    primes, scale, expected, _ = _level(M, N)
     # each prime's table is read here, outside the cached _prime_rows: the
     # perfbench tracer counts a fiber's combinations from these reads
     per_prime = [
@@ -361,9 +355,10 @@ def elliptic_compatible(order: OrderDisc, M: int, N: int) -> bool:
     """Whether X0(M,N) has an elliptic CM point over this order: the order
     has extra units (delta in {-3, -4}), M = 1, and every prime of N admits a
     completely horizontal path."""
+    _check_divides(M, N)
     if order.delta not in (-3, -4) or M != 1:
         return False
-    for ell, a in _factor_pairs(N):
+    for ell, _, a in _level(M, N)[0]:
         chi = _chi(order.delta, ell)
         if chi == -1 or (chi == 0 and a >= 2):
             return False
@@ -384,9 +379,9 @@ def x1_fiber(order: OrderDisc, M: int, N: int, point_kind: str = "non-elliptic")
             # the units act through (Z/N)^*/{+-1}, which is trivial here
             return (1, 1, 1)
         e = 2 if order.delta == -4 else 3
-        phi = euler_phi(N)
+        phi = _level(M, N)[3]
         _check_consistent(phi % (2 * e) == 0, f"phi({N}) is not a multiple of w_K")
         return (e, phi // (2 * e), 1)
-    f_deg = euler_phi(N) // 2 if N >= 3 else 1
+    f_deg = _level(M, N)[3] // 2 if N >= 3 else 1
     return (1, f_deg, 1)
 

@@ -1,15 +1,16 @@
 """The type guard of the public edge: every entry point that `cmlocus`
-exports, `factorize` and `canonical_conductor` behind them, and every public
-name of `cmlocus.forms` and `cmlocus.pathstats`, and the two views of
-`cmlocus.tables`, answers a float, a bool or an int beyond FACTOR_LIMIT with
-a ValidationError or with the answer it gives the plain int, and a refused
-argument never poisons a cache."""
+exports, `factorize` and `canonical_conductor` behind them, every public
+name of `cmlocus.arith`, `cmlocus.locus`, `cmlocus.forms` and
+`cmlocus.pathstats`, and the two views of `cmlocus.tables`, answers a
+float, a bool or an int beyond FACTOR_LIMIT with a ValidationError or with
+the answer it gives the plain int, and a refused argument never poisons a
+cache."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmlocus
-from cmlocus import forms, pathstats, tables
+from cmlocus import arith, forms, locus, pathstats, tables
 from cmlocus import (
     K,
     OrderDisc,
@@ -34,8 +35,9 @@ from cmlocus import (
     two_torsion_count,
     x1_fiber,
 )
-from cmlocus.arith import FACTOR_LIMIT, ValidationError, factorize
+from cmlocus.arith import FACTOR_LIMIT, ValidationError, factorize, is_fundamental, valuation
 from cmlocus.fields import canonical_conductor
+from cmlocus.locus import elliptic_compatible, enumerated_primitive
 
 
 def _order(dK, f):
@@ -49,6 +51,8 @@ CASES = {
     "euler_phi": (euler_phi, (14,)),
     "psi": (psi, (14,)),
     "factorize": (factorize, (14,)),
+    "valuation": (valuation, (24, 2)),
+    "is_fundamental": (is_fundamental, (-84,)),
     "split_discriminant": (split_discriminant, (-36,)),
     "OrderDisc": (OrderDisc, (-36, -4, 3)),
     "OrderDisc.from_parts": (OrderDisc.from_parts, (-4, 2)),
@@ -77,6 +81,12 @@ CASES = {
     "fiber_X0MN": (lambda dK, f, M, N: fiber_X0MN(_order(dK, f), M, N), (-4, 3, 2, 10)),
     "primitive_X0MN": (lambda dK, f, M, N: primitive_X0MN(_order(dK, f), M, N), (-3, 2, 3, 45)),
     "x1_fiber": (lambda dK, f, M, N: x1_fiber(_order(dK, f), M, N), (-4, 1, 1, 10)),
+    "elliptic_compatible": (
+        lambda dK, f, M, N: elliptic_compatible(_order(dK, f), M, N), (-4, 1, 1, 10)
+    ),
+    "enumerated_primitive": (
+        lambda dK, f, M, N: enumerated_primitive(_order(dK, f), M, N), (-3, 2, 3, 45)
+    ),
     # the public names of forms and pathstats that the package does not export
     "reduce_form": (lambda a, b, c: forms.reduce_form((a, b, c)), (5, 2, 2)),
     "principal_form": (forms.principal_form, (-84,)),
@@ -111,12 +121,14 @@ def test_every_exported_integer_entry_point_is_covered():
 
 
 def test_every_public_name_of_forms_and_pathstats_is_covered():
-    for mod in (forms, pathstats):
+    # and of arith and locus, whose record classes and error take no integers
+    records = {"ValidationError", "ClosedPointClass", "FiberReport"}
+    for mod in (arith, locus, forms, pathstats):
         public = {
             name for name, obj in vars(mod).items()
             if not name.startswith("_") and callable(obj)
             and getattr(obj, "__module__", None) == mod.__name__
-        }
+        } - records
         assert public and public <= set(CASES), sorted(public - set(CASES))
 
 
@@ -172,6 +184,8 @@ def test_the_reported_holes_are_closed():
         fiber_X0MN(_order(-4, 1), 1, 10.0)
     with pytest.raises(ValidationError):
         fiber_X0MN(_order(-4, 1), True, 10)
+    with pytest.raises(ValidationError):
+        elliptic_compatible(_order(-4, 1), 2, 5)  # M does not divide N
 
 
 def test_the_reported_forms_and_pathstats_holes_are_closed():

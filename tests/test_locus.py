@@ -17,6 +17,7 @@ from cmlocus.locus import (
     primitive_X0MN,
     x1_fiber,
     _Row,
+    _level,
     _prime_rows,
     _primitive_row,
     _split_deep_level,
@@ -204,14 +205,21 @@ def test_cold_and_warm_caches_agree():
         for M in range(1, N + 1)
         if N % M == 0
     ]
+
+    def answers(q):
+        # x1_fiber first, so that it reads a cold level plan
+        x1, report = x1_fiber(*q), fiber_X0MN(*q)
+        return repr((x1, report, report.expected_total, primitive_X0MN(*q)))
+
+    caches = (path_classes, _prime_rows, _primitive_row, _level, _factor_items, rcf_rel_degree)
     cold = []
     for q in queries:
-        for cache in (path_classes, _prime_rows, _primitive_row, _factor_items, rcf_rel_degree):
+        for cache in caches:
             cache.cache_clear()
-        cold.append(repr((fiber_X0MN(*q), primitive_X0MN(*q))))
-    warm = [repr((fiber_X0MN(*q), primitive_X0MN(*q))) for q in queries]
+        cold.append(answers(q))
+    warm = [answers(q) for q in queries]
     assert path_classes.cache_info().hits > 0 and _prime_rows.cache_info().hits > 0
-    assert _primitive_row.cache_info().hits > 0
+    assert _primitive_row.cache_info().hits > 0 and _level.cache_info().hits > 0
     assert warm == cold
 
 
